@@ -357,12 +357,13 @@ def _pipeline_core(cfg, out, include_rho):
     Q-process for a compactly supported trap.
     """
     checks = {}
+    # the scene first: a config that cannot build one fails before any artifact
+    spec, config, potential = build_scene(cfg)
     op, spec_out = _oracle(cfg)
     spectral.eigenpair_to_csv(spec_out, out / "eigenpair.csv")
     h_surv = spectral.survival_harmonic(op)
     write_csv(out / "survival.csv", "r,h", list(zip(op.grid.tolist(), h_surv.tolist())))
 
-    spec, config, potential = build_scene(cfg)
     d = cfg["d"]
     if include_rho:
         est = feynman_kac.estimate_rho(geometry.origin(d), potential, cfg["t_grid"],
@@ -460,6 +461,9 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         extra = HANDLERS[args.command](cfg, out)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

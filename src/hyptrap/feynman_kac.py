@@ -154,6 +154,10 @@ def estimate_Z(x: HPoint, potential: PotentialField, T, h, N, seed, workers=1) -
 # ---------------------------------------------------------------------------
 
 
+class WeightUnderflowError(ArithmeticError):
+    """A particle system's weights are no longer finite with a positive sum."""
+
+
 @dataclass
 class SMCResult:
     z_hat: float
@@ -177,7 +181,6 @@ def smc_estimate_Z(x: HPoint, potential: PotentialField, T, h, N, resample_perio
     n_steps = int(round(T / h))
     sizes = _chunk_sizes(N)
     rngs = _chunk_rngs(seed, len(sizes))
-    counters = {"resamples": 0}
 
     r_start, u_start = diffusion.polar_from_ambient(x.z[None, :])
 
@@ -188,6 +191,7 @@ def smc_estimate_Z(x: HPoint, potential: PotentialField, T, h, N, resample_perio
         log_factor = 0.0
         v_prev = potential.evaluate_polar(r, u)
         trace = []
+        resamples = 0
         k = 0
         while k < n_steps:
             r, u = diffusion.step_polar(r, u, h, rng)
@@ -197,7 +201,10 @@ def smc_estimate_Z(x: HPoint, potential: PotentialField, T, h, N, resample_perio
             k += 1
             if k % period_steps == 0 or k == n_steps:
                 w = np.exp(log_inc)
-                assert np.all(np.isfinite(w)) and w.sum() > 0
+                if not (np.all(np.isfinite(w)) and w.sum() > 0):
+                    raise WeightUnderflowError(
+                        f"particle weights at t = {k * h:g} are not finite with a "
+                        "positive sum; shorten resample_period")
                 ess = effective_sample_size(w)
                 trace.append(ess)
                 if ess < n / 2.0 and k < n_steps:
@@ -208,15 +215,15 @@ def smc_estimate_Z(x: HPoint, potential: PotentialField, T, h, N, resample_perio
                     u = u[idx]
                     v_prev = v_prev[idx]
                     log_inc[:] = 0.0
-                    counters["resamples"] += 1
-        return float(np.exp(log_factor) * np.mean(np.exp(log_inc))), trace
+                    resamples += 1
+        return float(np.exp(log_factor) * np.mean(np.exp(log_inc))), trace, resamples
 
     results = _run_chunks(job, sizes, rngs, workers=workers)
-    z_per_system = np.array([z for z, _ in results])
-    traces = [t for _, t in results]
+    z_per_system = np.array([z for z, _, _ in results])
+    traces = [t for _, t, _ in results]
     z = float(np.mean(z_per_system))
     se = float(np.std(z_per_system, ddof=1) / np.sqrt(len(z_per_system)))
-    return SMCResult(z, se, traces, counters["resamples"])
+    return SMCResult(z, se, traces, sum(n for _, _, n in results))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,16 @@ the origin; the potential at x is min(V_max, sum_y eta(d(x, y))) for a
 compactly supported seed profile eta.  The window policy makes the finite
 window an exact restriction of the infinite process: a caller declaring a
 path-excursion budget R_path must use window_radius >= R_path + r_0.
+
+The same support bound prunes traps exactly.  For a query at radius r and a
+trap at radius r_y, d(x, y) >= r_y - r, so a batch whose largest radius is
+r_max receives nothing from traps with r_y >= r_max + r_0; FactorPotential
+sorts its traps by radius once and sums only the prefix below that cut.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -206,18 +212,25 @@ class PotentialField:
 
 
 class FactorPotential(PotentialField):
-    """min(V_max, sum over configuration points of eta(d(x, y)))."""
+    """min(V_max, sum over configuration points of eta(d(x, y))).
+
+    The trap polar states are stored sorted by radius.  A batch whose largest
+    radius is r_max only sums the traps with r_y < r_max + r_0: every other
+    trap has d(x, y) >= r_y - r >= r_0 for each query, so its profile term
+    is exactly zero and the cut changes no value.
+    """
 
     def __init__(self, spec: PotentialSpec, config: Configuration):
         self.spec = spec
         self.config = config
         self.v_max = spec.v_max
-        if len(config):
-            from hyptrap.diffusion import polar_from_ambient
+        from hyptrap.diffusion import polar_from_ambient
 
-            self._ry, self._uy = polar_from_ambient(config.points)
-        else:
-            self._ry = self._uy = None
+        ry, uy = polar_from_ambient(config.points)
+        order = np.argsort(ry, kind="stable")
+        self._ry = ry[order]
+        self._uy = uy[order]
+        self._ry_list = self._ry.tolist()
 
     def check_window(self, max_radius):
         """Enforce the window policy for queries up to geodesic radius max_radius."""
@@ -228,21 +241,22 @@ class FactorPotential(PotentialField):
                 f"window_radius >= {need:.3f}, have {self.config.window_radius:.3f}"
             )
 
+    def _near_sum(self, r, u, max_radius):
+        """Profile sum over the traps with r_y < max_radius + r_0 (all others add 0)."""
+        k = bisect.bisect_left(self._ry_list, max_radius + self.spec.support_radius)
+        dist = polar_distances(r, u, self._ry[:k], self._uy[:k])
+        return self.spec.profile(dist).sum(axis=1)
+
     def evaluate_polar(self, r, u):
         r = np.asarray(r, dtype=float)
-        self.check_window(float(np.max(r)) if len(r) else 0.0)
-        if self._ry is None:
-            return np.zeros(len(r))
-        dist = polar_distances(r, u, self._ry, self._uy)
-        total = self.spec.profile(dist).sum(axis=1)
-        return np.minimum(self.spec.v_max, total)
+        max_radius = float(np.max(r)) if len(r) else 0.0
+        self.check_window(max_radius)
+        return np.minimum(self.spec.v_max, self._near_sum(r, u, max_radius))
 
     def uncapped_polar(self, r, u):
         """The raw sum without the V_max cap (monotone in the configuration)."""
-        if self._ry is None:
-            return np.zeros(len(np.asarray(r)))
-        dist = polar_distances(r, u, self._ry, self._uy)
-        return self.spec.profile(dist).sum(axis=1)
+        r = np.asarray(r, dtype=float)
+        return self._near_sum(r, u, float(np.max(r)) if len(r) else 0.0)
 
 
 class ConstantPotential(PotentialField):

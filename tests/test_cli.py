@@ -122,6 +122,15 @@ class TestCommands:
         reports = json.loads((out / "fock.json").read_text())
         assert all(r["rel_error"] < 0.1 for r in reports)
 
+    def test_poisson_scene_too_large_fails_before_artifacts(self, tmp_path, capsys):
+        # kappa > 0 with the automatic window asks for ~1e19 traps
+        path = write_config(tmp_path, FAST + "kappa = 0.05\n")
+        for cmd in ("full-pipeline", "doob-compare"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", path, "--out", str(out)]) == 2
+            assert "mean count" in capsys.readouterr().err
+            assert not list(out.glob("*.csv"))
+
     def test_window_violation_surfaces(self, tmp_path, capsys):
         # a window too small for the declared horizons must fail loudly
         path = write_config(tmp_path, FAST + "window_radius = 1.5\n")
@@ -144,18 +153,27 @@ class TestDeterminism:
                 continue
             assert f.read_bytes() == (outs[1] / f.name).read_bytes(), f.name
 
-    def test_worker_count_byte_identical(self, tmp_path):
-        path = write_config(tmp_path)
+    def assert_worker_count_byte_identical(self, tmp_path, command, path):
         outs = []
         for name, workers in (("w1", "1"), ("w4", "4")):
             out = tmp_path / name
-            assert main(["q-marginal", "--config", path, "--workers", workers,
+            assert main([command, "--config", path, "--workers", workers,
                          "--out", str(out)]) == 0
             outs.append(out)
         for f in outs[0].iterdir():
             if f.name == "timing.txt":
                 continue
             assert f.read_bytes() == (outs[1] / f.name).read_bytes(), f.name
+
+    def test_worker_count_byte_identical(self, tmp_path):
+        self.assert_worker_count_byte_identical(tmp_path, "q-marginal",
+                                                write_config(tmp_path))
+
+    def test_worker_count_byte_identical_poisson_scene(self, tmp_path):
+        # a sampled scene of ~1270 traps; paths stay well inside window - r0
+        path = write_config(tmp_path, FAST + "kappa = 0.05\nplanted =\n"
+                            "window_radius = 9\nt_grid = 0.25,0.5,0.75\n")
+        self.assert_worker_count_byte_identical(tmp_path, "estimate-rho", path)
 
 
 class TestBuildScene:

@@ -15,6 +15,7 @@ from hyptrap.feynman_kac import (
     q_marginal,
     simulate_tilted_ensemble,
     smc_estimate_Z,
+    WeightUnderflowError,
 )
 from hyptrap.geometry import origin
 from hyptrap.ppp import (
@@ -129,6 +130,21 @@ class TestSmcEstimateZ:
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError):
             smc_estimate_Z(origin(2), ConstantPotential(0.1), 1.0, 0.01, 64, 0.005, 0)
+
+    def test_weight_underflow_raises_typed_error(self):
+        # exp(-800 * 1) underflows every weight at the first checkpoint
+        with pytest.raises(WeightUnderflowError):
+            smc_estimate_Z(origin(2), ConstantPotential(800.0), 2.0, 0.01, 64, 1.0, 0)
+
+    def test_resample_count_independent_of_workers(self):
+        # a deep trap at o spreads the weights enough to resample
+        deep = PotentialSpec(5.0, 1.0, 5.0, 1.0)
+        pot = FactorPotential(deep, Configuration(origin(2).z[None, :], 60.0, 0.0, 2))
+        runs = [smc_estimate_Z(origin(2), pot, 2.0, 0.01, 256, 0.5, 6, workers=w)
+                for w in (1, 4)]
+        assert runs[0].n_resamples > 0
+        assert runs[0].n_resamples == runs[1].n_resamples
+        assert runs[0].z_hat == runs[1].z_hat
 
 
 class TestEstimateRho:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hyptrap import geometry
+from hyptrap.diffusion import ambient_from_polar, polar_from_ambient
 from hyptrap.geometry import HPoint, origin
 from hyptrap.ppp import (
     Configuration,
@@ -28,6 +29,11 @@ def axis_point(d, r):
     z[0] = np.cosh(r)
     z[1] = np.sinh(r)
     return HPoint(z)
+
+
+def unit_directions(rng, n, d=2):
+    u = rng.standard_normal((n, d))
+    return u / np.linalg.norm(u, axis=1)[:, None]
 
 
 class TestBallVolume:
@@ -228,6 +234,63 @@ class TestFactorPotential:
         u /= np.linalg.norm(u, axis=1)[:, None]
         v = pot.evaluate_polar(r, u)
         assert np.all(v >= 0.0) and np.all(v <= self.spec.v_max)
+
+    def assert_cut_matches_dense(self, config, r, u):
+        # reference: the profile summed over every trap of the configuration
+        ry, uy = polar_from_ambient(config.points)
+        dense = self.spec.profile(polar_distances(r, u, ry, uy)).sum(axis=1)
+        pot = FactorPotential(self.spec, config)
+        for got, want in ((pot.uncapped_polar(r, u), dense),
+                          (pot.evaluate_polar(r, u), np.minimum(self.spec.v_max, dense))):
+            assert got.shape == (len(r),)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        return dense
+
+    def test_radius_cut_matches_dense_on_sampled_scenes(self):
+        rng = np.random.default_rng(11)
+        for kappa, window in ((0.05, 9.0), (1.0, 6.0)):
+            config = sample_configuration(2, window, kappa, rng)
+            reach = window - self.spec.support_radius
+            saturated = 0
+            for n in (1, 2, 63, 500):
+                for top in (0.3, 0.5 * reach, reach):
+                    r = rng.uniform(0.0, top, n)
+                    r[0] = top
+                    u = unit_directions(rng, n)
+                    dense = self.assert_cut_matches_dense(config, r, u)
+                    saturated += int(np.sum(dense > self.spec.v_max))
+            self.assert_cut_matches_dense(config, np.empty(0), np.empty((0, 2)))
+            if kappa == 1.0:
+                assert saturated > 0  # the V_max cap is exercised
+
+    def test_radius_cut_with_tied_trap_radii(self):
+        # traps on three circles, tied radii within each; the cut boundary
+        # max(r) + r0 = 3 falls exactly on the outer circle
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        circle = np.column_stack([np.cos(angles), np.sin(angles)])
+        ry = np.repeat([1.5, 2.5, 3.0], len(angles))
+        config = Configuration(ambient_from_polar(ry, np.tile(circle, (3, 1))),
+                               10.0, 0.0, 2)
+        r = np.array([2.0, 1.9, 1.0, 0.8])
+        u = circle[[0, 1, 4, 7]]
+        dense = self.assert_cut_matches_dense(config, r, u)
+        assert np.all(dense > 0.0)
+        # one query with its own trap at distance < r0 just beyond its radius
+        self.assert_cut_matches_dense(config, np.array([2.0]), circle[[3]])
+
+    def test_radius_cut_keeps_no_trap_or_every_trap(self):
+        rng = np.random.default_rng(12)
+        config = sample_configuration(2, 6.0, 1.0, rng)
+        ry, _ = polar_from_ambient(config.points)
+        # keeps none: a scene with no trap inside radius 2.2, queries up to 1
+        outer = Configuration(config.points[ry > 2.2], 6.0, 1.0, 2)
+        r = np.concatenate([[1.0], rng.uniform(0.0, 1.0, 4)])
+        dense = self.assert_cut_matches_dense(outer, r, unit_directions(rng, 5))
+        assert len(outer) > 0 and np.all(dense == 0.0)
+        # keeps all: one query near the window edge puts every trap below the cut
+        r = np.concatenate([[5.0], rng.uniform(0.0, 5.0, 40)])
+        assert ry.max() < r.max() + self.spec.support_radius
+        self.assert_cut_matches_dense(config, r, unit_directions(rng, 41))
 
 
 class TestPolarDistances:
