@@ -235,13 +235,17 @@ def cmd_estimate_z(cfg, out):
     return {}
 
 
+def _write_rho(out, est):
+    write_csv(out / "rho.csv", "rho_hat,rho_stderr,flagged",
+              [(est.rho_hat, est.rho_stderr, int(est.diagnostics["flagged"]))])
+
+
 def cmd_estimate_rho(cfg, out):
     spec, config, potential = build_scene(cfg)
     est = feynman_kac.estimate_rho(geometry.origin(cfg["d"]), potential,
                                    cfg["t_grid"], cfg["h"], cfg["n_paths"],
                                    cfg["seed"], workers=cfg["workers"])
-    write_csv(out / "rho.csv", "rho_hat,rho_stderr,flagged",
-              [(est.rho_hat, est.rho_stderr, int(est.diagnostics["flagged"]))])
+    _write_rho(out, est)
     write_csv(out / "logz.csv", "T,neg_log_z",
               list(zip(est.diagnostics["T_grid"],
                        [-lz for lz in est.diagnostics["log_z"]])))
@@ -369,8 +373,7 @@ def _pipeline_core(cfg, out, include_rho):
         est = feynman_kac.estimate_rho(geometry.origin(d), potential, cfg["t_grid"],
                                        cfg["h"], cfg["n_paths"], cfg["seed"],
                                        workers=cfg["workers"])
-        write_csv(out / "rho.csv", "rho_hat,rho_stderr,dirichlet_oracle_rho",
-                  [(est.rho_hat, est.rho_stderr, spec_out.rho)])
+        _write_rho(out, est)
         checks["rho_near_zero"] = bool(abs(est.rho_hat) <= cfg["rho_tolerance"])
         checks["rho_in_bound"] = bool(
             -3.0 * est.rho_stderr - 1e-9 <= est.rho_hat

@@ -54,7 +54,7 @@ def _check_step(h):
         raise ValueError(f"step size must lie in (0, {MAX_STEP}], got {h}")
 
 
-def step_polar(r, u, h, rng, drift_fn=None):
+def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     """Advance a polar-state batch by one geodesic-random-walk step.
 
     The Gaussian tangent components xi split into the part along the radial
@@ -63,9 +63,15 @@ def step_polar(r, u, h, rng, drift_fn=None):
                      + (sinh n / n) xi_perp
     with n = |xi|.  Both coefficients are cancellation-free, so r' is read
     off as arcsinh of the norm.
+
+    A batch of `blocks` equal blocks of paths shares one draw: a single
+    (N / blocks, d) Gaussian block is tiled over them, so each block takes
+    bitwise the step it would take alone with the same generator state.
     """
     N, d = u.shape
-    xi = rng.standard_normal((N, d)) * np.sqrt(h)
+    xi = rng.standard_normal((N // blocks, d)) * np.sqrt(h)
+    if blocks > 1:
+        xi = np.tile(xi, (blocks, 1))
     if drift_fn is not None:
         xi += (h * drift_fn(r))[:, None] * u
     xi_r = np.sum(xi * u, axis=1)
@@ -118,13 +124,14 @@ def simulate_path(x0: HPoint, T, h, rng, drift_fn=None) -> PathSample:
         _check_step(h)
         if abs(m * h - T) > 1e-9 * max(1.0, T):
             raise ValueError("T must be an integral number of steps")
-    d = x0.d
-    pts = np.empty((m + 1, d + 1))
+    pts = np.empty((m + 1, x0.d + 1))
     pts[0] = x0.z
-    r, u = polar_from_ambient(x0.z[None, :])
-    for k in range(m):
-        r, u = step_polar(r, u, h, rng, drift_fn=drift_fn)
-        pts[k + 1] = ambient_from_polar(r, u)[0]
+    if m:
+        r, u = polar_from_ambient(x0.z[None, :])
+        walk = ensemble_walk(r, u, m, h, rng, snapshot_steps=range(1, m + 1),
+                             drift_fn=drift_fn)
+        for k in range(1, m + 1):
+            pts[k] = ambient_from_polar(*walk.snapshots[k][:2])[0]
     times = np.arange(m + 1) * h
     return PathSample(times, pts, x0)
 
@@ -134,35 +141,48 @@ class WalkResult:
     """Streaming output of an ensemble walk in polar state.
 
     `integrals` holds the trapezoid accumulation of the potential along each
-    path; `snapshots` maps a step index to copies of (r, u, integrals).
+    path and `v` the potential at the final state (None without a
+    potential); `snapshots` maps a step index to copies of (r, u, integrals).
     """
 
     r: np.ndarray
     u: np.ndarray
     integrals: np.ndarray
+    v: np.ndarray | None
     snapshots: dict
 
 
 def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
-                  drift_fn=None) -> WalkResult:
-    """Advance N paths in lockstep, accumulating int V dt by trapezoid rule."""
+                  drift_fn=None, blocks=1, integrals=None, v0=None) -> WalkResult:
+    """Advance N paths in lockstep, accumulating int V dt by trapezoid rule.
+
+    This is the one geodesic-walk loop: every estimator, `simulate_path` and
+    the SMC particle systems advance through it.  The N paths may stack
+    `blocks` equal blocks that share every Gaussian draw (`step_polar`); the
+    potential then evaluates block b against its own field (a FactorPotential
+    built with one rotation per block), so each block is bitwise the walk it
+    would take alone.  `integrals` and `v0`, the integrals accumulated so far
+    and the potential at (r0, u0), continue an earlier walk exactly.
+    """
     _check_step(h)
     r = np.array(r0, dtype=float)
     u = np.array(u0, dtype=float)
-    integrals = np.zeros(len(r))
+    integrals = np.zeros(len(r)) if integrals is None else np.array(integrals, dtype=float)
     snapshots = {}
-    v_prev = potential.evaluate_polar(r, u) if potential is not None else None
+    v_prev = None
+    if potential is not None:
+        v_prev = potential.evaluate_polar(r, u) if v0 is None else v0
     if 0 in snapshot_steps:
         snapshots[0] = (r.copy(), u.copy(), integrals.copy())
     for k in range(1, n_steps + 1):
-        r, u = step_polar(r, u, h, rng, drift_fn=drift_fn)
+        r, u = step_polar(r, u, h, rng, drift_fn=drift_fn, blocks=blocks)
         if potential is not None:
             v_cur = potential.evaluate_polar(r, u)
             integrals += 0.5 * h * (v_prev + v_cur)
             v_prev = v_cur
         if k in snapshot_steps:
             snapshots[k] = (r.copy(), u.copy(), integrals.copy())
-    return WalkResult(r, u, integrals, snapshots)
+    return WalkResult(r, u, integrals, v_prev, snapshots)
 
 
 # ---------------------------------------------------------------------------

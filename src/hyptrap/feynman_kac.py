@@ -89,9 +89,16 @@ class GroundStateEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def simulate_tilted_ensemble(x0: HPoint, potential: PotentialField, T, h, N, seed,
-                             snapshot_times=(), drift_fn=None, workers=1) -> PathEnsemble:
-    """N independent walks from x0 with streaming trapezoid potential integrals."""
+def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
+                             snapshot_times=(), drift_fn=None, workers=1):
+    """N independent walks from x0 with streaming trapezoid potential integrals.
+
+    `x0` may also be a sequence of B starts, walked as one fused ensemble:
+    each stream advances its n paths from every start as B stacked blocks
+    that share every Gaussian draw, `potential` holds one field per block
+    (FactorPotential with `rotations`), and one PathEnsemble per start comes
+    back, bitwise the ensemble that start alone would give.
+    """
     n_steps = int(round(T / h))
     if abs(n_steps * h - T) > 1e-9 * max(1.0, T):
         raise ValueError("T must be an integral number of steps")
@@ -99,31 +106,40 @@ def simulate_tilted_ensemble(x0: HPoint, potential: PotentialField, T, h, N, see
     for t, k in zip(sorted(snapshot_times), snap_steps):
         if abs(k * h - t) > 1e-9 * max(1.0, t):
             raise ValueError(f"snapshot time {t} not on the step grid")
+    starts = [x0] if isinstance(x0, HPoint) else list(x0)
+    blocks = len(starts)
     sizes = _chunk_sizes(N)
     rngs = _chunk_rngs(seed, len(sizes))
 
-    r_start, u_start = diffusion.polar_from_ambient(x0.z[None, :])
+    r_start, u_start = diffusion.polar_from_ambient(np.array([x.z for x in starts]))
 
     def job(n, rng):
-        r0 = np.full(n, r_start[0])
-        u0 = np.tile(u_start[0], (n, 1))
+        r0 = np.repeat(r_start, n)
+        u0 = np.repeat(u_start, n, axis=0)
         return diffusion.ensemble_walk(r0, u0, n_steps, h, rng, potential=potential,
-                                       snapshot_steps=snap_steps, drift_fn=drift_fn)
+                                       snapshot_steps=snap_steps, drift_fn=drift_fn,
+                                       blocks=blocks)
 
     results = _run_chunks(job, sizes, rngs, workers=workers)
-    radii = np.concatenate([r.r for r in results])
-    dirs = np.concatenate([r.u for r in results])
-    integrals = np.concatenate([r.integrals for r in results])
-    snapshots = {
-        k: tuple(
-            np.concatenate([r.snapshots[k][j] for r in results]) for j in range(3)
-        )
-        for k in snap_steps
-    }
+
+    def gather(arrays, b):
+        """Block b of each stream's stacked arrays, concatenated over the streams."""
+        return np.concatenate([np.split(a, blocks)[b] for a in arrays])
+
     bounds = np.cumsum([0] + sizes)
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    meta = {"T": T, "h": h, "N": N, "seed": seed, "start": x0.z.tolist()}
-    return PathEnsemble(-integrals, radii, dirs, snapshots, slices, meta)
+    ensembles = []
+    for b, x in enumerate(starts):
+        snapshots = {
+            k: tuple(gather([res.snapshots[k][j] for res in results], b) for j in range(3))
+            for k in snap_steps
+        }
+        meta = {"T": T, "h": h, "N": N, "seed": seed, "start": x.z.tolist()}
+        ensembles.append(PathEnsemble(-gather([res.integrals for res in results], b),
+                                      gather([res.r for res in results], b),
+                                      gather([res.u for res in results], b),
+                                      snapshots, slices, meta))
+    return ensembles[0] if isinstance(x0, HPoint) else ensembles
 
 
 def path_potential_integral(path: diffusion.PathSample, potential: PotentialField):
@@ -171,6 +187,7 @@ def smc_estimate_Z(x: HPoint, potential: PotentialField, T, h, N, resample_perio
     """Particle-system estimator of the same functional as estimate_Z.
 
     N particles split into NUM_STREAMS independent systems; each system
+    advances with `diffusion.ensemble_walk` from one checkpoint to the next,
     resamples multinomially whenever its ESS drops below half its size at a
     checkpoint, and contributes the unbiased product-of-mean-weights
     estimator.  The returned value is the mean over systems.
@@ -187,36 +204,35 @@ def smc_estimate_Z(x: HPoint, potential: PotentialField, T, h, N, resample_perio
     def job(n, rng):
         r = np.full(n, r_start[0])
         u = np.tile(u_start[0], (n, 1))
-        log_inc = np.zeros(n)
+        integrals = np.zeros(n)
+        v = None
         log_factor = 0.0
-        v_prev = potential.evaluate_polar(r, u)
         trace = []
         resamples = 0
         k = 0
         while k < n_steps:
-            r, u = diffusion.step_polar(r, u, h, rng)
-            v_cur = potential.evaluate_polar(r, u)
-            log_inc -= 0.5 * h * (v_prev + v_cur)
-            v_prev = v_cur
-            k += 1
-            if k % period_steps == 0 or k == n_steps:
-                w = np.exp(log_inc)
-                if not (np.all(np.isfinite(w)) and w.sum() > 0):
-                    raise WeightUnderflowError(
-                        f"particle weights at t = {k * h:g} are not finite with a "
-                        "positive sum; shorten resample_period")
-                ess = effective_sample_size(w)
-                trace.append(ess)
-                if ess < n / 2.0 and k < n_steps:
-                    log_factor += np.log(np.mean(w))
-                    idx = rng.choice(n, size=n, p=w / w.sum())
-                    idx.sort()  # fixed ordering for reproducibility
-                    r = r[idx]
-                    u = u[idx]
-                    v_prev = v_prev[idx]
-                    log_inc[:] = 0.0
-                    resamples += 1
-        return float(np.exp(log_factor) * np.mean(np.exp(log_inc))), trace, resamples
+            steps = min(period_steps, n_steps - k)
+            walk = diffusion.ensemble_walk(r, u, steps, h, rng, potential=potential,
+                                           integrals=integrals, v0=v)
+            r, u, integrals, v = walk.r, walk.u, walk.integrals, walk.v
+            k += steps
+            w = np.exp(-integrals)
+            if not (np.all(np.isfinite(w)) and w.sum() > 0):
+                raise WeightUnderflowError(
+                    f"particle weights at t = {k * h:g} are not finite with a "
+                    "positive sum; shorten resample_period")
+            ess = effective_sample_size(w)
+            trace.append(ess)
+            if ess < n / 2.0 and k < n_steps:
+                log_factor += np.log(np.mean(w))
+                idx = rng.choice(n, size=n, p=w / w.sum())
+                idx.sort()  # fixed ordering for reproducibility
+                r = r[idx]
+                u = u[idx]
+                v = v[idx]
+                integrals = np.zeros(n)
+                resamples += 1
+        return float(np.exp(log_factor) * np.mean(np.exp(-integrals))), trace, resamples
 
     results = _run_chunks(job, sizes, rngs, workers=workers)
     z_per_system = np.array([z for z, _, _ in results])
@@ -313,32 +329,37 @@ def estimate_phi_ratio(probes, spec: PotentialSpec, config: Configuration, T, h,
 
     Each probe is canonicalized: a K-rotation takes it to the e_1 axis and is
     applied to the configuration instead, so probe sets differing by a common
-    rotation give literally identical estimates.  All probes share the same
-    seed (common random numbers).
+    rotation give literally identical estimates.  The base o and every probe
+    off o are walked as one fused ensemble (`simulate_tilted_ensemble` with
+    one start per block and a FactorPotential holding each block's rotated
+    configuration): the blocks share every Gaussian draw (common random
+    numbers), and each is bitwise the `estimate_Z` walk from its canonical
+    start on its rotated configuration.  A probe at o is the base block
+    itself: ratio 1, stderr 0.
     """
+    if N < 2:
+        raise ValueError("need at least two paths")
+    o = geometry.origin(config.d)
+    radii = [geometry.distance(o, probe) for probe in probes]
+    moved = [probe for probe, r in zip(probes, radii) if r > 0.0]
+    starts = [o] + [canonical_axis_point(config.d, r) for r in radii if r > 0.0]
+    rotations = [geometry.rotation_to_axis(x) for x in [o] + moved]
+    ensembles = simulate_tilted_ensemble(starts, FactorPotential(spec, config, rotations),
+                                         T, h, N, seed, workers=workers)
+    z = [float(np.mean(ens.weights)) for ens in ensembles]
+    chunks = [np.array([np.mean(ens.weights[s]) for s in ens.chunk_slices])
+              for ens in ensembles]
+    moved_blocks = iter(range(1, len(starts)))
     table = []
-    base = estimate_Z(geometry.origin(config.d), FactorPotential(spec, config),
-                      T, h, N, seed, workers=workers)
-    base_chunks = np.array([
-        np.mean(base.ensemble.weights[s]) for s in base.ensemble.chunk_slices
-    ])
-    for probe in probes:
-        r = geometry.distance(geometry.origin(config.d), probe)
-        k = geometry.rotation_to_axis(probe)
-        rot_config = config.rotate(k)
-        start = canonical_axis_point(config.d, r)
-        est = estimate_Z(start, FactorPotential(spec, rot_config), T, h, N, seed,
-                         workers=workers)
-        chunks = np.array([
-            np.mean(est.ensemble.weights[s]) for s in est.ensemble.chunk_slices
-        ])
-        ratio = est.z_hat / base.z_hat
+    for r in radii:
+        b = next(moved_blocks) if r > 0.0 else 0
+        ratio = z[b] / z[0]
         # paired jackknife over the common streams
-        n_c = len(chunks)
+        n_c = len(chunks[b])
         jack = np.empty(n_c)
         for c in range(n_c):
             keep = np.arange(n_c) != c
-            jack[c] = np.mean(chunks[keep]) / np.mean(base_chunks[keep])
+            jack[c] = np.mean(chunks[b][keep]) / np.mean(chunks[0][keep])
         se = float(np.sqrt((n_c - 1) / n_c * np.sum((jack - jack.mean()) ** 2)))
         if ratio <= 0:
             raise RuntimeError("eigenfunction ratio must be positive")

@@ -9,7 +9,8 @@ path-excursion budget R_path must use window_radius >= R_path + r_0.
 The same support bound prunes traps exactly.  For a query at radius r and a
 trap at radius r_y, d(x, y) >= r_y - r, so a batch whose largest radius is
 r_max receives nothing from traps with r_y >= r_max + r_0; FactorPotential
-sorts its traps by radius once and sums only the prefix below that cut.
+sorts its traps by radius once and sums only the prefix below that cut (per
+block, when it holds rotated copies of the configuration for a fused walk).
 """
 
 from __future__ import annotations
@@ -179,13 +180,15 @@ def polar_distances(r, u, ry, uy):
 
     Uses cosh d = cosh(r - r') + sinh r sinh r' * |u - u'|^2 / 2, whose terms
     are all nonnegative, so the formula stays accurate at radii where the
-    ambient Minkowski product has lost every significant digit.
+    ambient Minkowski product has lost every significant digit.  Queries
+    r (..., n), u (..., n, d) against points ry (..., k), uy (..., k, d)
+    give (..., n, k); leading axes broadcast.
     """
     half_chord = 0.5 * np.sum(
-        (np.asarray(u)[:, None, :] - np.asarray(uy)[None, :, :]) ** 2, axis=-1
+        (np.asarray(u)[..., :, None, :] - np.asarray(uy)[..., None, :, :]) ** 2, axis=-1
     )
-    r = np.asarray(r)[:, None]
-    ry = np.asarray(ry)[None, :]
+    r = np.asarray(r)[..., :, None]
+    ry = np.asarray(ry)[..., None, :]
     coshd = np.cosh(r - ry) + np.sinh(r) * np.sinh(ry) * half_chord
     return np.arccosh(np.maximum(1.0, coshd))
 
@@ -218,18 +221,32 @@ class FactorPotential(PotentialField):
     radius is r_max only sums the traps with r_y < r_max + r_0: every other
     trap has d(x, y) >= r_y - r >= r_0 for each query, so its profile term
     is exactly zero and the cut changes no value.
+
+    With `rotations` (K-elements, one per block) the potential holds B rotated
+    copies of the configuration, for a batch of B equal blocks of queries
+    (`diffusion.ensemble_walk` with `blocks`=B): block b is evaluated against
+    config.rotate(rotations[b]).  A K-rotation fixes o, so z_0, the trap radii
+    and their sort order are bitwise the same in every copy and only a
+    (B, k, d) table of trap directions differs.  The distances come from one
+    call over the cut at the largest radius of any block; each block then
+    sums the prefix below its own cut, so it gets bitwise the value that a
+    one-block potential on its rotated configuration gives.
     """
 
-    def __init__(self, spec: PotentialSpec, config: Configuration):
+    def __init__(self, spec: PotentialSpec, config: Configuration, rotations=None):
         self.spec = spec
         self.config = config
         self.v_max = spec.v_max
         from hyptrap.diffusion import polar_from_ambient
 
-        ry, uy = polar_from_ambient(config.points)
+        copies = [config] if rotations is None else [config.rotate(k) for k in rotations]
+        polar = [polar_from_ambient(c.points) for c in copies]
+        ry = polar[0][0]
+        if any(not np.array_equal(r, ry) for r, _ in polar):
+            raise ValueError("rotations must fix the origin")
         order = np.argsort(ry, kind="stable")
         self._ry = ry[order]
-        self._uy = uy[order]
+        self._uy = np.stack([uy[order] for _, uy in polar])
         self._ry_list = self._ry.tolist()
 
     def check_window(self, max_radius):
@@ -241,22 +258,30 @@ class FactorPotential(PotentialField):
                 f"window_radius >= {need:.3f}, have {self.config.window_radius:.3f}"
             )
 
-    def _near_sum(self, r, u, max_radius):
-        """Profile sum over the traps with r_y < max_radius + r_0 (all others add 0)."""
-        k = bisect.bisect_left(self._ry_list, max_radius + self.spec.support_radius)
-        dist = polar_distances(r, u, self._ry[:k], self._uy[:k])
-        return self.spec.profile(dist).sum(axis=1)
+    def _near_sum(self, r, u):
+        """Profile sums per query over the traps with r_y < max(r_b) + r_0 in
+        each block b (all others add 0), and the largest radius of the batch."""
+        blocks = len(self._uy)
+        r = np.asarray(r, dtype=float).reshape(blocks, -1)
+        u = np.asarray(u, dtype=float)
+        u = u.reshape(blocks, r.shape[1], u.shape[-1])
+        tops = r.max(axis=1).tolist() if r.size else [0.0] * blocks
+        cuts = [bisect.bisect_left(self._ry_list, t + self.spec.support_radius) for t in tops]
+        k = max(cuts)
+        prof = self.spec.profile(polar_distances(r, u, self._ry[:k], self._uy[:, :k]))
+        sums = np.empty(r.shape)
+        for b, cut in enumerate(cuts):
+            prof[b, :, :cut].sum(axis=1, out=sums[b])
+        return sums.reshape(-1), max(tops)
 
     def evaluate_polar(self, r, u):
-        r = np.asarray(r, dtype=float)
-        max_radius = float(np.max(r)) if len(r) else 0.0
+        sums, max_radius = self._near_sum(r, u)
         self.check_window(max_radius)
-        return np.minimum(self.spec.v_max, self._near_sum(r, u, max_radius))
+        return np.minimum(self.spec.v_max, sums)
 
     def uncapped_polar(self, r, u):
         """The raw sum without the V_max cap (monotone in the configuration)."""
-        r = np.asarray(r, dtype=float)
-        return self._near_sum(r, u, float(np.max(r)) if len(r) else 0.0)
+        return self._near_sum(r, u)[0]
 
 
 class ConstantPotential(PotentialField):

@@ -108,6 +108,15 @@ class TestCommands:
         assert (out / "rho.csv").exists()
         assert (out / "logz.csv").exists()
 
+    def test_full_pipeline_writes_the_estimate_rho_table(self, tmp_path):
+        path = write_config(tmp_path)
+        # full-pipeline writes rho.csv before its statistical gates set the exit code
+        for cmd in ("estimate-rho", "full-pipeline"):
+            main([cmd, "--config", path, "--out", str(tmp_path / cmd)])
+        rho = (tmp_path / "full-pipeline" / "rho.csv").read_text()
+        assert rho.splitlines()[0] == "rho_hat,rho_stderr,flagged"
+        assert rho == (tmp_path / "estimate-rho" / "rho.csv").read_text()
+
     def test_born_and_contour_checks(self, tmp_path):
         path = write_config(tmp_path, FAST + "born_kmax = 40\n")
         for cmd, artifact in (("born-check", "born.csv"), ("contour-check", "contour.csv")):
@@ -174,6 +183,12 @@ class TestDeterminism:
         path = write_config(tmp_path, FAST + "kappa = 0.05\nplanted =\n"
                             "window_radius = 9\nt_grid = 0.25,0.5,0.75\n")
         self.assert_worker_count_byte_identical(tmp_path, "estimate-rho", path)
+
+    def test_worker_count_byte_identical_poisson_phi_profile(self, tmp_path):
+        # the base and every probe off o walk as one fused ensemble of blocks
+        path = write_config(tmp_path, FAST + "kappa = 0.05\nplanted =\n"
+                            "window_radius = 9\nT = 0.75\nprobes = 0,0.5,1,2\n")
+        self.assert_worker_count_byte_identical(tmp_path, "phi-profile", path)
 
 
 class TestBuildScene:

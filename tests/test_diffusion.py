@@ -16,6 +16,7 @@ from hyptrap.diffusion import (
     step_polar,
 )
 from hyptrap.geometry import origin
+from hyptrap.ppp import FactorPotential, PotentialSpec, sample_configuration
 
 
 def origin_state(n, d):
@@ -147,6 +148,92 @@ class TestSimulatePath:
         res = ensemble_walk(r, u, 2000, 0.01, rng,
                             drift_fn=lambda rr: 0.5 - 2.0 * rr)
         assert res.r.mean() < 2.0
+
+
+def reference_step(r, u, h, rng, drift_fn=None):
+    """One geodesic step written out for a single block of paths."""
+    N, d = u.shape
+    xi = rng.standard_normal((N, d)) * np.sqrt(h)
+    if drift_fn is not None:
+        xi += (h * drift_fn(r))[:, None] * u
+    xi_r = np.sum(xi * u, axis=1)
+    xi_perp = xi - xi_r[:, None] * u
+    n = np.linalg.norm(xi, axis=1)
+    sinc = np.where(n > 1e-300, np.sinh(n) / np.maximum(n, 1e-300), 1.0)
+    alpha = np.cosh(n) * np.sinh(r) + sinc * xi_r * np.cosh(r)
+    vec = alpha[:, None] * u + sinc[:, None] * xi_perp
+    norm = np.linalg.norm(vec, axis=1)
+    u_new = np.where(norm[:, None] > 1e-300, vec / np.maximum(norm, 1e-300)[:, None], u)
+    return np.arcsinh(norm), u_new / np.linalg.norm(u_new, axis=1)[:, None]
+
+
+def reference_potential(spec, config):
+    """The capped profile sum over the traps with r_y < max(r) + r0, on 2-D arrays."""
+    ry, uy = polar_from_ambient(config.points)
+    order = np.argsort(ry, kind="stable")
+    ry, uy = ry[order], uy[order]
+
+    def V(r, u):
+        keep = ry < np.max(r) + spec.support_radius
+        half_chord = 0.5 * np.sum((u[:, None, :] - uy[keep][None, :, :]) ** 2, axis=-1)
+        coshd = (np.cosh(r[:, None] - ry[keep][None, :])
+                 + np.sinh(r[:, None]) * np.sinh(ry[keep][None, :]) * half_chord)
+        dist = np.arccosh(np.maximum(1.0, coshd))
+        return np.minimum(spec.v_max, spec.profile(dist).sum(axis=1))
+
+    return V
+
+
+class TestEnsembleWalk:
+    def test_single_block_is_reference_walk(self):
+        # one block: the plain step-and-trapezoid loop, bit for bit
+        spec = PotentialSpec(1.0, 1.0, 10.0, 1.0)  # uncapped: every near trap counts
+        config = sample_configuration(2, 8.0, 0.3, np.random.default_rng(20))
+        h, n_steps = 0.01, 60
+        r0 = np.random.default_rng(21).uniform(0.0, 3.0, 50)
+        u0 = np.tile([0.6, 0.8], (50, 1))
+        res = ensemble_walk(r0, u0, n_steps, h, np.random.default_rng(22),
+                            potential=FactorPotential(spec, config), snapshot_steps=[0, 30])
+        V = reference_potential(spec, config)
+        rng = np.random.default_rng(22)
+        r, u = r0, u0
+        integrals = np.zeros(50)
+        v_prev = V(r, u)
+        for k in range(1, n_steps + 1):
+            r, u = reference_step(r, u, h, rng)
+            v_cur = V(r, u)
+            integrals += 0.5 * h * (v_prev + v_cur)
+            v_prev = v_cur
+            if k == 30:
+                snap = (r, u, integrals.copy())
+        assert np.array_equal(res.r, r) and np.array_equal(res.u, u)
+        assert np.array_equal(res.integrals, integrals) and np.array_equal(res.v, v_prev)
+        assert all(np.array_equal(a, b) for a, b in zip(res.snapshots[30], snap))
+        assert all(np.array_equal(a, b) for a, b in zip(res.snapshots[0], (r0, u0, 0 * r0)))
+        # with a drift and no potential
+        drift = lambda rr: 0.5 - rr  # noqa: E731
+        res = ensemble_walk(r0, u0, 20, h, np.random.default_rng(23), drift_fn=drift)
+        rng = np.random.default_rng(23)
+        r, u = r0, u0
+        for _ in range(20):
+            r, u = reference_step(r, u, h, rng, drift_fn=drift)
+        assert np.array_equal(res.r, r) and np.array_equal(res.u, u)
+        assert np.array_equal(res.integrals, np.zeros(50)) and res.v is None
+
+    def test_continued_walk_is_one_walk(self):
+        # SMC's checkpoints: a walk resumed from its integrals and potential
+        # values is bitwise the walk taken in one go
+        pot = FactorPotential(PotentialSpec(1.0, 1.0, 10.0, 1.0),
+                              sample_configuration(2, 8.0, 0.3, np.random.default_rng(24)))
+        r0, u0 = origin_state(40, 2)
+        whole = ensemble_walk(r0, u0, 50, 0.01, np.random.default_rng(25), potential=pot)
+        rng = np.random.default_rng(25)
+        part = ensemble_walk(r0, u0, 20, 0.01, rng, potential=pot)
+        part = ensemble_walk(part.r, part.u, 30, 0.01, rng, potential=pot,
+                             integrals=part.integrals, v0=part.v)
+        for a, b in ((whole.r, part.r), (whole.u, part.u),
+                     (whole.integrals, part.integrals), (whole.v, part.v)):
+            assert np.array_equal(a, b)
 
 
 class TestRadialOracle:

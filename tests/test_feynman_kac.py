@@ -24,6 +24,7 @@ from hyptrap.ppp import (
     FactorPotential,
     PotentialSpec,
     ShiftedPotential,
+    sample_configuration,
 )
 
 SPEC = PotentialSpec(1.0, 1.0, 0.1, 1.0)
@@ -186,7 +187,49 @@ class TestEstimateRho:
         assert refit == est.rho_hat
 
 
+def separate_walks_table(probes, spec, config, T, h, N, seed):
+    """Reference: one estimate_Z per canonical start on its rotated configuration."""
+    base = estimate_Z(origin(config.d), FactorPotential(spec, config), T, h, N, seed)
+    base_chunks = np.array([np.mean(base.ensemble.weights[s])
+                            for s in base.ensemble.chunk_slices])
+    table = []
+    for probe in probes:
+        r = geometry.distance(origin(config.d), probe)
+        rot_config = config.rotate(geometry.rotation_to_axis(probe))
+        est = estimate_Z(canonical_axis_point(config.d, r), FactorPotential(spec, rot_config),
+                         T, h, N, seed)
+        chunks = np.array([np.mean(est.ensemble.weights[s])
+                           for s in est.ensemble.chunk_slices])
+        n_c = len(chunks)
+        jack = np.array([np.mean(np.delete(chunks, c)) / np.mean(np.delete(base_chunks, c))
+                         for c in range(n_c)])
+        se = float(np.sqrt((n_c - 1) / n_c * np.sum((jack - jack.mean()) ** 2)))
+        table.append((float(r), float(est.z_hat / base.z_hat), se))
+    return table
+
+
 class TestEstimatePhiRatio:
+    def test_fused_walk_equals_separate_walks(self):
+        d = 2
+        planted = Configuration(origin(d).z[None, :], 60.0, 0.0, d)
+        probes = [canonical_axis_point(d, r) for r in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        fused = estimate_phi_ratio(probes, SPEC, planted, 1.0, 0.01, 64, 10)
+        assert fused == separate_walks_table(probes, SPEC, planted, 1.0, 0.01, 64, 10)
+        assert fused[0] == (0.0, 1.0, 0.0)
+        # a sampled kappa 0.05 scene, probes off the e_1 axis; the uncapped
+        # profile makes every trap near a path count in the sums
+        scene = sample_configuration(d, 10.0, 0.05, np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        off_axis = []
+        for r in (0.7, 1.5, 0.0, 3.0):
+            rot = np.eye(d + 1)
+            rot[1:, 1:], _ = np.linalg.qr(rng.standard_normal((d, d)))
+            off_axis.append(geometry.apply_isometry(geometry.Isometry(rot),
+                                                    canonical_axis_point(d, r)))
+        for spec in (SPEC, PotentialSpec(1.0, 1.0, 10.0, 1.0)):
+            fused = estimate_phi_ratio(off_axis, spec, scene, 1.0, 0.01, 100, 3)
+            assert fused == separate_walks_table(off_axis, spec, scene, 1.0, 0.01, 100, 3)
+
     def test_constant_potential_unit_ratios(self):
         d = 2
         config = Configuration(np.empty((0, d + 1)), 60.0, 0.0, d)

@@ -293,6 +293,36 @@ class TestFactorPotential:
         self.assert_cut_matches_dense(config, r, unit_directions(rng, 41))
 
 
+    def test_rotated_blocks_match_rotated_configurations(self):
+        # block b of a stacked batch is bitwise the one-block potential on
+        # config.rotate(rotations[b]), though the blocks reach different radii
+        # and so cut the sorted traps at different places
+        rng = np.random.default_rng(13)
+        config = sample_configuration(2, 8.0, 1.0, rng)
+        uncapped = PotentialSpec(1.0, 1.0, 100.0, 1.0)
+        rotations = [geometry.rotation_to_axis(axis_point(2, 0.0))]
+        for theta in (0.4, 2.0, -2.9):
+            rotations.append(geometry.rotation_to_axis(
+                HPoint(np.array([math.cosh(1.0), math.sinh(1.0) * math.cos(theta),
+                                 math.sinh(1.0) * math.sin(theta)]))))
+        n = 40
+        r = np.concatenate([rng.uniform(0.0, top, n) for top in (0.5, 2.0, 4.0, 6.5)])
+        u = unit_directions(rng, len(r))
+        for spec in (self.spec, uncapped):
+            stacked = FactorPotential(spec, config, rotations)
+            got = stacked.evaluate_polar(r, u).reshape(len(rotations), n)
+            for b, k in enumerate(rotations):
+                alone = FactorPotential(spec, config.rotate(k))
+                block = slice(b * n, (b + 1) * n)
+                assert np.array_equal(got[b], alone.evaluate_polar(r[block], u[block]))
+        # a boost along e_1 moves the trap's radius: not a K-rotation
+        boost = np.eye(3)
+        boost[:2, :2] = [[math.cosh(0.5), math.sinh(0.5)], [math.sinh(0.5), math.cosh(0.5)]]
+        one_trap = Configuration(axis_point(2, 1.0).z[None, :], 8.0, 0.0, 2)
+        with pytest.raises(ValueError, match="fix the origin"):
+            FactorPotential(self.spec, one_trap, [np.eye(3), boost])
+
+
 class TestPolarDistances:
     def test_matches_ambient(self):
         rng = np.random.default_rng(10)
