@@ -20,10 +20,8 @@ import scipy
 import hyptrap
 from hyptrap import diffusion, feynman_kac, fock, geometry, spectral, stats
 from hyptrap.feynman_kac import canonical_axis_point
-from hyptrap.geometry import HPoint
 from hyptrap.ppp import (
     Configuration,
-    ConstantPotential,
     FactorPotential,
     PotentialSpec,
     ball_volume,
@@ -60,7 +58,6 @@ DEFAULTS = {
     "t_grid": [5.0, 10.0, 20.0],
     "marginal_time": 1.0,
     "probes": [0.0, 0.5, 1.0, 2.0, 4.0],
-    "resample_period": 1.0,
     "r_max": 30.0,
     "m_cells": 3000,
     "n_quad": 64,
@@ -118,6 +115,15 @@ def resolve_config(overrides, cli_seed=None, cli_workers=None):
         raise ConfigError(f"h must lie in (0, {diffusion.MAX_STEP}]")
     if cfg["d"] < 2:
         raise ConfigError("d must be >= 2")
+    if cfg["n_paths"] < 2:
+        raise ConfigError("n_paths must be >= 2")
+    if cfg["workers"] < 1:
+        raise ConfigError("workers must be >= 1")
+    for key in ("T", "t_grid", "marginal_time"):
+        for t in cfg[key] if key in _LIST_KEYS else [cfg[key]]:
+            if not diffusion.on_step_grid(t, cfg["h"]):
+                raise ConfigError(f"{key} value {t:g} is not a whole number of steps "
+                                  f"of h = {cfg['h']:g}")
     return cfg
 
 
@@ -363,6 +369,9 @@ def _pipeline_core(cfg, out, include_rho):
     checks = {}
     # the scene first: a config that cannot build one fails before any artifact
     spec, config, potential = build_scene(cfg)
+    if cfg["planted"] != [0.0] or cfg["kappa"] != 0:
+        raise ConfigError("the oracle is one trap at o, so this command needs "
+                          "planted = 0 and kappa = 0")
     op, spec_out = _oracle(cfg)
     spectral.eigenpair_to_csv(spec_out, out / "eigenpair.csv")
     h_surv = spectral.survival_harmonic(op)

@@ -11,7 +11,7 @@ constraint to cancellation once r exceeds ~18, while the polar update below
 is built from same-sign terms and keeps absolute machine accuracy in r at
 any radius the walks reach.
 
-`radial_oracle_*` is an independent 1-D Euler-Maruyama discretization of the
+`radial_oracle_final` is an independent 1-D Euler-Maruyama discretization of the
 radial SDE dr = dB + ((d-1)/2) coth(r) dt, used only to cross-check the full
 sampler's radial statistics.
 """
@@ -54,6 +54,11 @@ def _check_step(h):
         raise ValueError(f"step size must lie in (0, {MAX_STEP}], got {h}")
 
 
+def on_step_grid(t, h):
+    """Whether time t is a whole number of steps of size h (to 1e-9 relative)."""
+    return abs(round(t / h) * h - t) <= 1e-9 * max(1.0, t)
+
+
 def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     """Advance a polar-state batch by one geodesic-random-walk step.
 
@@ -88,14 +93,6 @@ def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     return r_new, u_new
 
 
-def bm_step(x: HPoint, h, rng) -> HPoint:
-    """A single Brownian step of size h from x."""
-    _check_step(h)
-    r, u = polar_from_ambient(x.z[None, :])
-    r, u = step_polar(r, u, h, rng)
-    return HPoint(ambient_from_polar(r, u)[0])
-
-
 @dataclass(frozen=True)
 class PathSample:
     """A discretized trajectory on the hyperboloid with a uniform time grid."""
@@ -115,21 +112,20 @@ class PathSample:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def simulate_path(x0: HPoint, T, h, rng, drift_fn=None) -> PathSample:
+def simulate_path(x0: HPoint, T, h, rng) -> PathSample:
     """Iterate the walk to horizon T, storing the whole trajectory."""
     if T < 0:
         raise ValueError("negative horizon")
     m = int(round(T / h)) if T > 0 else 0
     if T > 0:
         _check_step(h)
-        if abs(m * h - T) > 1e-9 * max(1.0, T):
+        if not on_step_grid(T, h):
             raise ValueError("T must be an integral number of steps")
     pts = np.empty((m + 1, x0.d + 1))
     pts[0] = x0.z
     if m:
         r, u = polar_from_ambient(x0.z[None, :])
-        walk = ensemble_walk(r, u, m, h, rng, snapshot_steps=range(1, m + 1),
-                             drift_fn=drift_fn)
+        walk = ensemble_walk(r, u, m, h, rng, snapshot_steps=range(1, m + 1))
         for k in range(1, m + 1):
             pts[k] = ambient_from_polar(*walk.snapshots[k][:2])[0]
     times = np.arange(m + 1) * h
@@ -195,20 +191,9 @@ def radial_drift(d, r):
     return (d - 1) / 2.0 / np.tanh(r)
 
 
-def radial_oracle_path(d, r0, T, h, rng):
-    """One trajectory of the radial SDE, reflected at r = h near the origin."""
-    m = int(round(T / h))
-    r = np.empty(m + 1)
-    r[0] = max(r0, 0.0)
-    sqh = np.sqrt(h)
-    for k in range(m):
-        rc = max(r[k], h)  # dodge the coth singularity; entrance boundary
-        r[k + 1] = max(rc + radial_drift(d, rc) * h + sqh * rng.standard_normal(), h)
-    return np.arange(m + 1) * h, r
-
-
 def radial_oracle_final(d, r0, T, h, N, rng):
-    """Terminal radii of N independent radial-SDE paths (vectorized)."""
+    """Terminal radii of N independent radial-SDE paths, reflected at r = h
+    near the origin (an entrance boundary; this dodges the coth singularity)."""
     m = int(round(T / h))
     r = np.full(N, max(r0, 0.0))
     sqh = np.sqrt(h)

@@ -2,7 +2,7 @@
 
 Survival constants Z_T^x, decay-rate extraction, eigenfunction ratios,
 Q-process marginals, a sequential Monte Carlo variant with resampling, and
-Doob-transformed path simulation.
+terminal radii of the Doob-transformed dynamics.
 
 Randomness is organized as a fixed fan-out of NUM_STREAMS child streams per
 seed; the worker count only sets the thread pool size, so results are
@@ -50,10 +50,8 @@ class PathEnsemble:
 
     log_weights: np.ndarray           # -int_0^T V per path, in [-T*v_max, 0]
     final_radii: np.ndarray           # geodesic radius of X_T per path
-    final_dirs: np.ndarray            # unit directions in T_o H^d
     snapshots: dict                   # step -> (radii, directions, integrals)
     chunk_slices: list                # slices delimiting the independent streams
-    meta: dict
 
     @property
     def n_paths(self):
@@ -74,18 +72,13 @@ class ZEstimate:
     stderr: float
     ensemble: PathEnsemble
 
-    @property
-    def log_z(self):
-        return float(np.log(self.z_hat))
-
 
 @dataclass
 class GroundStateEstimate:
-    """Decay rate from the tail of -log Z_T plus optional eigenfunction ratios."""
+    """Decay rate from the tail of -log Z_T."""
 
     rho_hat: float
     rho_stderr: float
-    phi_ratio: list = field(default_factory=list)  # (radius, ratio, stderr)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -100,11 +93,11 @@ def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
     back, bitwise the ensemble that start alone would give.
     """
     n_steps = int(round(T / h))
-    if abs(n_steps * h - T) > 1e-9 * max(1.0, T):
+    if not diffusion.on_step_grid(T, h):
         raise ValueError("T must be an integral number of steps")
     snap_steps = sorted({int(round(t / h)) for t in snapshot_times})
-    for t, k in zip(sorted(snapshot_times), snap_steps):
-        if abs(k * h - t) > 1e-9 * max(1.0, t):
+    for t in snapshot_times:
+        if not diffusion.on_step_grid(t, h):
             raise ValueError(f"snapshot time {t} not on the step grid")
     starts = [x0] if isinstance(x0, HPoint) else list(x0)
     blocks = len(starts)
@@ -129,16 +122,14 @@ def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
     bounds = np.cumsum([0] + sizes)
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     ensembles = []
-    for b, x in enumerate(starts):
+    for b in range(blocks):
         snapshots = {
             k: tuple(gather([res.snapshots[k][j] for res in results], b) for j in range(3))
             for k in snap_steps
         }
-        meta = {"T": T, "h": h, "N": N, "seed": seed, "start": x.z.tolist()}
         ensembles.append(PathEnsemble(-gather([res.integrals for res in results], b),
                                       gather([res.r for res in results], b),
-                                      gather([res.u for res in results], b),
-                                      snapshots, slices, meta))
+                                      snapshots, slices))
     return ensembles[0] if isinstance(x0, HPoint) else ensembles
 
 
@@ -147,6 +138,13 @@ def path_potential_integral(path: diffusion.PathSample, potential: PotentialFiel
     v = potential.evaluate(path.points)
     hgrid = np.diff(path.times)
     return float(np.sum(0.5 * hgrid * (v[:-1] + v[1:])))
+
+
+def _jackknife_stderr(n_streams, statistic):
+    """Drop-one-stream jackknife standard error of `statistic(keep)`, where
+    `keep` is the boolean mask of the streams retained."""
+    jack = np.array([statistic(np.arange(n_streams) != c) for c in range(n_streams)])
+    return float(np.sqrt((n_streams - 1) / n_streams * np.sum((jack - np.mean(jack)) ** 2)))
 
 
 def _mean_stderr(weights):
@@ -288,17 +286,15 @@ def estimate_rho(x: HPoint, potential: PotentialField, T_grid, h, N, seed,
         sigmas[j] = se / m
         per_chunk[:, j] = _chunk_log_z(ens, k)
     rho_hat = _wls_slope(ts, -log_z, sigmas)
-    # drop-one-stream jackknife on the slope
-    n_c = per_chunk.shape[0]
-    jack = np.empty(n_c)
     counts = np.array([s.stop - s.start for s in ens.chunk_slices], dtype=float)
-    for c in range(n_c):
-        keep = np.arange(n_c) != c
-        # recombine chunk means into drop-one log Z
-        zs = np.exp(per_chunk[keep])
+
+    def slope(keep):
+        # recombine the kept chunk means into log Z
         wts = counts[keep] / counts[keep].sum()
-        jack[c] = _wls_slope(ts, -np.log(np.sum(zs * wts[:, None], axis=0)), sigmas)
-    rho_se = float(np.sqrt((n_c - 1) / n_c * np.sum((jack - np.mean(jack)) ** 2)))
+        zs = np.sum(np.exp(per_chunk[keep]) * wts[:, None], axis=0)
+        return _wls_slope(ts, -np.log(zs), sigmas)
+
+    rho_se = _jackknife_stderr(len(counts), slope)
     # nested tail windows: slope over T_grid[k:] for each admissible k
     window_slopes = [
         _wls_slope(ts[k:], -log_z[k:], sigmas[k:]) for k in range(len(ts) - 1)
@@ -355,12 +351,8 @@ def estimate_phi_ratio(probes, spec: PotentialSpec, config: Configuration, T, h,
         b = next(moved_blocks) if r > 0.0 else 0
         ratio = z[b] / z[0]
         # paired jackknife over the common streams
-        n_c = len(chunks[b])
-        jack = np.empty(n_c)
-        for c in range(n_c):
-            keep = np.arange(n_c) != c
-            jack[c] = np.mean(chunks[b][keep]) / np.mean(chunks[0][keep])
-        se = float(np.sqrt((n_c - 1) / n_c * np.sum((jack - jack.mean()) ** 2)))
+        se = _jackknife_stderr(
+            len(chunks[b]), lambda keep: np.mean(chunks[b][keep]) / np.mean(chunks[0][keep]))
         if ratio <= 0:
             raise RuntimeError("eigenfunction ratio must be positive")
         table.append((float(r), float(ratio), se))
@@ -368,7 +360,7 @@ def estimate_phi_ratio(probes, spec: PotentialSpec, config: Configuration, T, h,
 
 
 # ---------------------------------------------------------------------------
-# Q-process marginals and Doob simulation
+# Q-process marginals and Doob-transformed dynamics
 # ---------------------------------------------------------------------------
 
 
@@ -380,9 +372,6 @@ class QMarginal:
     radii: np.ndarray              # radius of X_t per path
     weights_by_T: dict             # horizon -> normalized weights
     sup_distances: list            # between consecutive-horizon weighted CDFs
-
-    def weights(self, T):
-        return self.weights_by_T[T]
 
 
 def q_marginal(x: HPoint, potential: PotentialField, t, T_grid, h, N, seed,
@@ -411,19 +400,10 @@ def q_marginal(x: HPoint, potential: PotentialField, t, T_grid, h, N, seed,
     return QMarginal(t, radii, weights_by_T, sup_d)
 
 
-def doob_simulate(x0: HPoint, grid, phi, rho, T, h, rng) -> diffusion.PathSample:
-    """One path of the Doob-transformed diffusion (1/2)Lap + (log phi)' d_r.
-
-    `phi` is a positive radial eigenfunction tabulated on `grid` (from the
-    spectral oracle); `rho` is carried along for bookkeeping only, since the
-    transformed generator depends on the eigenfunction alone.
-    """
-    drift = spectral.log_derivative_interpolant(grid, phi)
-    return diffusion.simulate_path(x0, T, h, rng, drift_fn=drift)
-
-
 def doob_final_radii(x0: HPoint, grid, phi, T, h, N, seed, workers=1):
-    """Terminal radii of N Doob-transformed paths (no potential weighting)."""
+    """Terminal radii of N paths of the Doob-transformed diffusion
+    (1/2)Lap + (log phi)' d_r, with `phi` a positive radial eigenfunction
+    tabulated on `grid` (no potential weighting)."""
     drift = spectral.log_derivative_interpolant(grid, phi)
     ens = simulate_tilted_ensemble(x0, None, T, h, N, seed, drift_fn=drift,
                                    workers=workers)

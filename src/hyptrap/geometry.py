@@ -4,9 +4,10 @@ Points live on the upper sheet {<z,z>_J = -1, z_0 >= 1} of the quadric for
 the bilinear form J = diag(-1, 1, ..., 1).  All operations are pure; points
 are re-normalized onto the sheet after every move to kill floating drift.
 
-Scalar operations work on small wrapper types (HPoint, TangentVector,
-Isometry); the `*_batch` helpers operate on (N, d+1) arrays and are what the
-path samplers call in their inner loops.
+Scalar operations work on small wrapper types (HPoint, Isometry); the
+`*_batch` helpers operate on (N, d+1) arrays.  The path samplers do not walk
+in these coordinates: `diffusion` keeps a polar state (radius, direction)
+and converts at the ends.
 """
 
 from __future__ import annotations
@@ -76,27 +77,6 @@ class HPoint:
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    """A spacelike vector in the tangent space of `base`."""
-
-    base: HPoint
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "v", v)
-        if v.shape != self.base.z.shape:
-            raise GeometryError("tangent vector and base point dimension mismatch")
-        if abs(minkowski_dot(self.base.z, v)) > SHEET_TOL:
-            raise GeometryError("vector not Minkowski-orthogonal to its base point")
-        if minkowski_dot(v, v) < -SHEET_TOL:
-            raise GeometryError("tangent vector must be spacelike")
-
-    def norm(self):
-        return float(np.sqrt(max(0.0, minkowski_dot(self.v, self.v))))
-
-
-@dataclass(frozen=True)
 class Isometry:
     """A J-orthogonal matrix preserving the upper sheet (A^T J A = J, det +1)."""
 
@@ -118,67 +98,16 @@ class Isometry:
     def d(self):
         return self.A.shape[0] - 1
 
-    def inverse(self):
-        # A^{-1} = J A^T J for J-orthogonal A
-        J = minkowski_matrix(self.d)
-        return Isometry(J @ self.A.T @ J)
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        return Isometry(self.A @ other.A)
-
 
 def distance(x: HPoint, y: HPoint) -> float:
     """Geodesic distance arccosh(-<x,y>_J)."""
     return float(np.arccosh(np.maximum(1.0, -minkowski_dot(x.z, y.z))))
 
 
-def exp_map(t: TangentVector) -> HPoint:
-    """Geodesic flow: follow the tangent vector for unit time."""
-    n = t.norm()
-    if n < 1e-12:
-        return t.base
-    z = np.cosh(n) * t.base.z + np.sinh(n) * (t.v / n)
-    return HPoint(project_to_sheet(z))
-
-
-def orthonormal_tangent_frame(x: HPoint):
-    """Parallel transport of the canonical frame (e_1, ..., e_d) from o to x.
-
-    f_i = e_i + x_i / (1 + x_0) * (x + e_0); deterministic, Minkowski-orthonormal.
-    """
-    d = x.d
-    F = frame_batch(x.z[None, :])[0]
-    return [TangentVector(x, F[i]) for i in range(d)]
-
-
 def apply_isometry(g: Isometry, x: HPoint) -> HPoint:
     if g.d != x.d:
         raise GeometryError("isometry/point dimension mismatch")
     return HPoint(project_to_sheet(g.A @ x.z))
-
-
-def push_tangent(g: Isometry, t: TangentVector) -> TangentVector:
-    """Differential action dg on a tangent vector (just the matrix, dg = A)."""
-    return TangentVector(apply_isometry(g, t.base), g.A @ t.v)
-
-
-def boost_from_origin(x: HPoint) -> Isometry:
-    """The canonical transvection g with g.o = x (rank-2 update of identity)."""
-    z = x.z
-    d = x.d
-    e0 = np.zeros(d + 1)
-    e0[0] = 1.0
-    u = z + e0
-    Ju = u.copy()
-    Ju[0] = -Ju[0]
-    Je0 = -e0
-    A = np.eye(d + 1) + np.outer(u, Ju) / (1.0 + z[0]) - 2.0 * np.outer(z, Je0)
-    return Isometry(A)
-
-
-def boost_to_origin(x: HPoint) -> Isometry:
-    """Deterministic transvection g with g.x = o (inverse of boost_from_origin)."""
-    return boost_from_origin(x).inverse()
 
 
 def rotation_to_axis(x: HPoint) -> Isometry:
@@ -216,7 +145,7 @@ def rotation_to_axis(x: HPoint) -> Isometry:
 
 
 # ---------------------------------------------------------------------------
-# batched kernels (arrays of shape (N, d+1)); used by the path samplers
+# batched kernels (arrays of shape (N, d+1))
 # ---------------------------------------------------------------------------
 
 
@@ -225,11 +154,6 @@ def sheet_defect_batch(X):
     X = np.asarray(X, dtype=float)
     q = -X[:, 0] ** 2 + np.sum(X[:, 1:] ** 2, axis=1)
     return float(np.max(np.abs(q + 1.0)))
-
-
-def project_batch(X):
-    q = X[:, 0] ** 2 - np.sum(X[:, 1:] ** 2, axis=1)
-    return X / np.sqrt(q)[:, None]
 
 
 def radius_batch(X):
@@ -241,41 +165,3 @@ def distance_batch(X, Y):
     """Pairwise distances between rows of X (N, d+1) and rows of Y (m, d+1)."""
     inner = X[:, 0][:, None] * Y[:, 0][None, :] - X[:, 1:] @ Y[:, 1:].T
     return np.arccosh(np.maximum(1.0, inner))
-
-
-def frame_batch(X):
-    """Canonical orthonormal tangent frames, shape (N, d, d+1)."""
-    N, dp1 = X.shape
-    d = dp1 - 1
-    F = np.zeros((N, d, dp1))
-    u = X.copy()
-    u[:, 0] += 1.0  # x + e_0
-    coef = X[:, 1:] / (1.0 + X[:, 0])[:, None]  # x_i / (1 + x_0)
-    for i in range(d):
-        F[:, i, i + 1] = 1.0
-        F[:, i, :] += coef[:, i][:, None] * u
-    return F
-
-
-def tangent_from_components(X, xi):
-    """Map frame components xi (N, d) to ambient tangent vectors (N, d+1).
-
-    Uses the canonical frame; the Minkowski norm of each output equals the
-    Euclidean norm of the corresponding xi row.
-    """
-    coef = np.sum(xi * X[:, 1:], axis=1) / (1.0 + X[:, 0])
-    V = np.empty_like(X)
-    V[:, 0] = coef * (X[:, 0] + 1.0)
-    V[:, 1:] = xi + coef[:, None] * X[:, 1:]
-    return V
-
-
-def exp_batch(X, V, norms):
-    """exp_x(v) for each row; `norms` are the (exact) Minkowski norms of V."""
-    n = np.asarray(norms)
-    safe = np.maximum(n, 1e-300)
-    out = np.cosh(n)[:, None] * X + np.sinh(n)[:, None] * (V / safe[:, None])
-    small = n < 1e-12
-    if np.any(small):
-        out[small] = X[small]
-    return project_batch(out)

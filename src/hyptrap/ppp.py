@@ -26,7 +26,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
 from hyptrap import geometry
-from hyptrap.geometry import HPoint, GeometryError
+from hyptrap.geometry import HPoint
 
 #: caps V_max below (d-1)^2/8 are inside the regime of the existence theorem
 def theorem_regime_bound(d):
@@ -133,9 +133,6 @@ class PotentialSpec:
         r = np.asarray(r, dtype=float)
         q = 1.0 - (r / self.support_radius) ** 2
         return self.amplitude * np.where(r < self.support_radius, q * q, 0.0)
-
-    def in_theorem_regime(self, d):
-        return self.v_max < theorem_regime_bound(d)
 
 
 @functools.lru_cache(maxsize=32)
@@ -306,7 +303,3 @@ class ShiftedPotential(PotentialField):
     def evaluate_polar(self, r, u):
         return self.base.evaluate_polar(r, u) - self.c
 
-
-def evaluate_potential(spec: PotentialSpec, config: Configuration, x: HPoint) -> float:
-    """Factor potential at a single point (window-checked)."""
-    return FactorPotential(spec, config)(x)

@@ -187,15 +187,7 @@ def contour_projector(op: RadialOperator, center, radius, n_quad=64):
     for lam in (spec.rho, lam2):
         if abs(abs(lam - center) - radius) < 1e-6 * radius:
             raise ContourError("eigenvalue too close to the integration circle")
-    ones = np.ones(op.m)
-    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    acc = np.zeros(op.m, dtype=complex)
-    # P = (1/2pi i) contour integral of (z - H)^{-1}; with the direct solver
-    # returning (H - z)^{-1} this is minus the mean of r e^{i theta} R(z) 1
-    for t in theta:
-        z = center + radius * np.exp(1j * t)
-        acc += radius * np.exp(1j * t) * direct_resolvent_solve(op, z, ones)
-    p1 = -np.real(acc) / n_quad
+    p1 = apply_projector(op, center, radius, np.ones(op.m), n_quad)
     norm = op.weighted_norm(p1)
     if norm == 0.0:
         raise ContourError("projector annihilated the constant vector")
@@ -207,9 +199,11 @@ def contour_projector(op: RadialOperator, center, radius, n_quad=64):
 
 
 def apply_projector(op: RadialOperator, center, radius, vec, n_quad=64):
-    """Riesz projector applied to an arbitrary vector (idempotence checks)."""
+    """Riesz projector applied to `vec` by the trapezoid rule on the circle."""
     theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
     acc = np.zeros(op.m, dtype=complex)
+    # P = (1/2pi i) contour integral of (z - H)^{-1}; with the direct solver
+    # returning (H - z)^{-1} this is minus the mean of r e^{i theta} R(z) vec
     for t in theta:
         z = center + radius * np.exp(1j * t)
         acc += radius * np.exp(1j * t) * direct_resolvent_solve(op, z, vec)

@@ -1,6 +1,8 @@
 """Experiment runner: config parsing, artifacts, manifests, determinism."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,15 @@ class TestParseConfig:
     def test_resolve_rejects_bad_step(self):
         with pytest.raises(ConfigError):
             resolve_config({"h": 0.5})
+
+    @pytest.mark.parametrize("line", ["n_paths = 1", "workers = 0", "T = 2.005",
+                                      "t_grid = 0.5,1.005,2", "marginal_time = 0.255"])
+    def test_resolve_rejects_before_simulating(self, tmp_path, capsys, line):
+        path = write_config(tmp_path, FAST + line + "\n")
+        out = tmp_path / "out"
+        assert main(["estimate-rho", "--config", path, "--out", str(out)]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_overrides(self):
         cfg = resolve_config({}, cli_seed=42, cli_workers=3)
@@ -140,6 +151,19 @@ class TestCommands:
             assert "mean count" in capsys.readouterr().err
             assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("scene", ["planted = 0.5", "planted = 0,2",
+                                       "kappa = 0.05\nwindow_radius = 9"],
+                             ids=["trap-off-o", "second-trap", "poisson-scene"])
+    def test_pipeline_rejects_scene_its_oracle_does_not_describe(self, tmp_path, capsys,
+                                                                 scene):
+        # the oracle is trap_radial_potential: one trap at o and nothing else
+        path = write_config(tmp_path, FAST + scene + "\n")
+        for cmd in ("full-pipeline", "doob-compare"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", path, "--out", str(out)]) == 2
+            assert "one trap at o" in capsys.readouterr().err
+            assert not list(out.glob("*.csv"))
+
     def test_window_violation_surfaces(self, tmp_path, capsys):
         # a window too small for the declared horizons must fail loudly
         path = write_config(tmp_path, FAST + "window_radius = 1.5\n")
@@ -202,3 +226,13 @@ class TestBuildScene:
         cfg = resolve_config({"kappa": 1.0, "window_radius": 40.0})
         with pytest.raises(ConfigError, match="mean count"):
             cli.build_scene(cfg)
+
+
+def test_every_config_key_is_read():
+    # a DEFAULTS key that no command reads as cfg["key"] is accepted and ignored
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+            and isinstance(node.slice, ast.Constant)}
+    assert sorted(set(cli.DEFAULTS) - read) == []

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from hyptrap import diffusion, geometry, stats
+from hyptrap import geometry, stats
 from hyptrap.diffusion import (
     ambient_from_polar,
-    bm_step,
     ensemble_walk,
     polar_from_ambient,
     radial_drift,
     radial_oracle_final,
-    radial_oracle_path,
     simulate_path,
     step_polar,
 )
@@ -61,15 +59,9 @@ class TestPolarConversion:
 class TestBmStep:
     def test_step_cap(self):
         rng = np.random.default_rng(1)
+        r, u = origin_state(1, 2)
         with pytest.raises(ValueError):
-            bm_step(origin(2), 0.5, rng)
-
-    def test_output_on_sheet(self):
-        rng = np.random.default_rng(2)
-        x = origin(3)
-        for _ in range(100):
-            x = bm_step(x, 0.05, rng)
-            assert abs(geometry.minkowski_dot(x.z, x.z) + 1.0) < 1e-10
+            ensemble_walk(r, u, 1, 0.5, rng)
 
     def test_small_time_displacement(self):
         # E[d(o, X_h)^2] = 2h + O(h^2) in d=2
@@ -243,7 +235,7 @@ class TestRadialOracle:
 
     def test_short_time_stays_near_start(self):
         rng = np.random.default_rng(12)
-        _, r = radial_oracle_path(2, 5.0, 0.1, 1e-3, rng)
+        r = radial_oracle_final(2, 5.0, 0.1, 1e-3, 100, rng)
         assert np.all(np.abs(r - 5.0) < 2.0)
 
     def test_matches_full_sampler(self):

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from hyptrap import diffusion, feynman_kac, geometry, spectral, stats
+from hyptrap import diffusion, feynman_kac, geometry, stats
 from hyptrap.feynman_kac import (
     canonical_axis_point,
     doob_final_radii,
-    doob_simulate,
     estimate_Z,
     estimate_phi_ratio,
     estimate_rho,
@@ -319,11 +318,7 @@ class TestDoobSimulate:
     def test_trivial_eigenfunction_is_free_bm(self):
         grid = np.linspace(0.005, 50.0, 2000)
         phi = np.ones_like(grid)
-        rng = np.random.default_rng(15)
-        radii = np.array([
-            doob_simulate(origin(2), grid, phi, 0.0, 2.0, 0.01, rng).radii()[-1]
-            for _ in range(400)
-        ])
+        radii = doob_final_radii(origin(2), grid, phi, 2.0, 0.01, 400, 15)
         rng2 = np.random.default_rng(16)
         r0 = np.zeros(4000)
         u0 = np.tile([1.0, 0.0], (4000, 1))

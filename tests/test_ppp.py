@@ -17,7 +17,6 @@ from hyptrap.ppp import (
     ShiftedPotential,
     WindowError,
     ball_volume,
-    evaluate_potential,
     polar_distances,
     sample_configuration,
     theorem_regime_bound,
@@ -152,8 +151,6 @@ class TestPotentialSpec:
     def test_regime_flag(self):
         assert theorem_regime_bound(2) == 0.125
         assert theorem_regime_bound(3) == 0.5
-        assert PotentialSpec(1.0, 1.0, 0.1, 1.0).in_theorem_regime(2)
-        assert not PotentialSpec(1.0, 1.0, 0.2, 1.0).in_theorem_regime(2)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -168,17 +165,17 @@ class TestFactorPotential:
 
     def test_empty_configuration(self):
         config = Configuration(np.empty((0, 3)), 10.0, 0.0, 2)
-        assert evaluate_potential(self.spec, config, origin(2)) == 0.0
+        assert FactorPotential(self.spec, config)(origin(2)) == 0.0
 
     def test_far_point_zero(self):
         config = Configuration(axis_point(2, 2.0).z[None, :], 10.0, 0.0, 2)
-        assert evaluate_potential(self.spec, config, origin(2)) == 0.0
+        assert FactorPotential(self.spec, config)(origin(2)) == 0.0
 
     def test_cap_saturates(self):
         # 50 coincident points with eta(0)*50 >> V_max
         pts = np.tile(axis_point(2, 0.5).z, (50, 1))
         config = Configuration(pts, 10.0, 0.0, 2)
-        v = evaluate_potential(self.spec, config, axis_point(2, 0.5))
+        v = FactorPotential(self.spec, config)(axis_point(2, 0.5))
         assert v == self.spec.v_max
 
     def test_single_trap_profile(self):
