@@ -246,7 +246,15 @@ def _write_rho(out, est):
               [(est.rho_hat, est.rho_stderr, int(est.diagnostics["flagged"]))])
 
 
+def _check_rho_horizons(cfg):
+    """The decay-rate fit needs three distinct horizons; fail before simulating."""
+    if len(set(cfg["t_grid"])) < 3:
+        raise ConfigError(f"t_grid needs at least three distinct horizons to fit a "
+                          f"decay rate, got {cfg['t_grid']}")
+
+
 def cmd_estimate_rho(cfg, out):
+    _check_rho_horizons(cfg)
     spec, config, potential = build_scene(cfg)
     est = feynman_kac.estimate_rho(geometry.origin(cfg["d"]), potential,
                                    cfg["t_grid"], cfg["h"], cfg["n_paths"],
@@ -364,10 +372,15 @@ def _pipeline_core(cfg, out, include_rho):
     The quantitative targets are the transient-case ground-state pair: decay
     rate zero and the survival harmonic h (the positive solution of
     (-1/2 Lap + V) h = 0), whose Doob transform generates the limiting
-    Q-process for a compactly supported trap.
+    Q-process for a compactly supported trap.  The ratios walk to the finite
+    horizon T = max(t_grid), so they are gated against Z_T(r)/Z_T(0) with
+    Z_T = h + e^{-TH}(1 - h) (`spectral.finite_horizon_survival`), which
+    tends to h(r)/h(0) as T grows.
     """
     checks = {}
-    # the scene first: a config that cannot build one fails before any artifact
+    # the config first: one that cannot be answered fails before any artifact
+    if include_rho:
+        _check_rho_horizons(cfg)
     spec, config, potential = build_scene(cfg)
     if cfg["planted"] != [0.0] or cfg["kappa"] != 0:
         raise ConfigError("the oracle is one trap at o, so this command needs "
@@ -388,7 +401,8 @@ def _pipeline_core(cfg, out, include_rho):
             -3.0 * est.rho_stderr - 1e-9 <= est.rho_hat
             <= potential.v_max + 3.0 * est.rho_stderr)
 
-    # eigenfunction ratios against the survival harmonic
+    # eigenfunction ratios against the finite-horizon survival Z_T at the
+    # walk's own horizon; Z_T(r)/Z_T(0) tends to h(r)/h(0) as T grows
     T = max(cfg["t_grid"])
     probes = [canonical_axis_point(d, r) for r in cfg["probes"]]
     table = feynman_kac.estimate_phi_ratio(probes, spec, config, T, cfg["h"],
@@ -396,12 +410,12 @@ def _pipeline_core(cfg, out, include_rho):
                                            workers=cfg["workers"])
     from scipy.interpolate import PchipInterpolator
 
-    h_interp = PchipInterpolator(op.grid, h_surv)
-    h0 = float(h_interp(1e-9))
+    z_interp = PchipInterpolator(op.grid, spectral.finite_horizon_survival(op, T))
+    z0 = float(z_interp(1e-9))
     rows = []
     ok = True
     for r, ratio, se in table:
-        target = float(h_interp(r)) / h0
+        target = float(z_interp(r)) / z0
         rows.append((r, ratio, se, target))
         if abs(ratio - target) > cfg["ratio_sigma"] * max(se, 1e-6):
             ok = False

@@ -59,6 +59,12 @@ def on_step_grid(t, h):
     return abs(round(t / h) * h - t) <= 1e-9 * max(1.0, t)
 
 
+def _draws(rng, n):
+    """A step's Gaussian draws as (generator, rows) pairs: a single generator
+    draws all n rows of a block."""
+    return [(rng, n)] if isinstance(rng, np.random.Generator) else list(rng)
+
+
 def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     """Advance a polar-state batch by one geodesic-random-walk step.
 
@@ -69,12 +75,17 @@ def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     with n = |xi|.  Both coefficients are cancellation-free, so r' is read
     off as arcsinh of the norm.
 
-    A batch of `blocks` equal blocks of paths shares one draw: a single
-    (N / blocks, d) Gaussian block is tiled over them, so each block takes
-    bitwise the step it would take alone with the same generator state.
+    `rng` is one generator, or a sequence of (generator, rows) pairs: the
+    independent streams walked in lockstep, each drawing its own rows of
+    the (N / blocks, d) Gaussian block in order.  That block is tiled over
+    `blocks` equal blocks of paths, which share the draw, so every row takes
+    bitwise the step it would take alone with its generator's state.
     """
     N, d = u.shape
-    xi = rng.standard_normal((N // blocks, d)) * np.sqrt(h)
+    draws = _draws(rng, N // blocks)
+    if sum(n for _, n in draws) * blocks != N:
+        raise ValueError("the streams' rows must add up to one block of paths")
+    xi = np.concatenate([g.standard_normal((n, d)) for g, n in draws]) * np.sqrt(h)
     if blocks > 1:
         xi = np.tile(xi, (blocks, 1))
     if drift_fn is not None:
@@ -153,27 +164,34 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
     """Advance N paths in lockstep, accumulating int V dt by trapezoid rule.
 
     This is the one geodesic-walk loop: every estimator, `simulate_path` and
-    the SMC particle systems advance through it.  The N paths may stack
-    `blocks` equal blocks that share every Gaussian draw (`step_polar`); the
-    potential then evaluates block b against its own field (a FactorPotential
-    built with one rotation per block), so each block is bitwise the walk it
-    would take alone.  `integrals` and `v0`, the integrals accumulated so far
-    and the potential at (r0, u0), continue an earlier walk exactly.
+    the SMC particle systems advance through it.  `rng` is one generator or
+    a sequence of (generator, rows) pairs, the independent streams of each
+    block (`step_polar`); every step makes one `step_polar` and one
+    `evaluate_polar` call for all of them.  The N paths may stack `blocks`
+    equal blocks that share every Gaussian draw; the potential then
+    evaluates block b against its own field (a FactorPotential built with
+    one rotation per block), and it receives the streams' row counts as
+    `segments`, so each (stream, block) segment is bitwise the walk that
+    stream would take alone.  `integrals` and `v0`, the integrals
+    accumulated so far and the potential at (r0, u0), continue an earlier
+    walk exactly.
     """
     _check_step(h)
     r = np.array(r0, dtype=float)
     u = np.array(u0, dtype=float)
+    draws = _draws(rng, len(r) // blocks)
+    segments = [n for _, n in draws]
     integrals = np.zeros(len(r)) if integrals is None else np.array(integrals, dtype=float)
     snapshots = {}
     v_prev = None
     if potential is not None:
-        v_prev = potential.evaluate_polar(r, u) if v0 is None else v0
+        v_prev = potential.evaluate_polar(r, u, segments=segments) if v0 is None else v0
     if 0 in snapshot_steps:
         snapshots[0] = (r.copy(), u.copy(), integrals.copy())
     for k in range(1, n_steps + 1):
-        r, u = step_polar(r, u, h, rng, drift_fn=drift_fn, blocks=blocks)
+        r, u = step_polar(r, u, h, draws, drift_fn=drift_fn, blocks=blocks)
         if potential is not None:
-            v_cur = potential.evaluate_polar(r, u)
+            v_cur = potential.evaluate_polar(r, u, segments=segments)
             integrals += 0.5 * h * (v_prev + v_cur)
             v_prev = v_cur
         if k in snapshot_steps:

@@ -5,9 +5,12 @@ Q-process marginals, a sequential Monte Carlo variant with resampling, and
 terminal radii of the Doob-transformed dynamics.
 
 Randomness is organized as a fixed fan-out of NUM_STREAMS child streams per
-seed; the worker count only sets the thread pool size, so results are
-byte-identical for any number of workers, and rerunning with the same seed
-gives common random numbers for pairwise comparisons.
+seed.  An ensemble walks its streams in lockstep: time is the outer loop, and
+each step draws every stream's rows from that stream's own generator and
+advances all paths with one kernel call.  The worker count only splits the
+streams into contiguous groups, each walked in lockstep on its own thread,
+so results are byte-identical for any number of workers, and rerunning with
+the same seed gives common random numbers for pairwise comparisons.
 """
 
 from __future__ import annotations
@@ -36,12 +39,15 @@ def _chunk_rngs(seed, k):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k)]
 
 
-def _run_chunks(fn, sizes, rngs, workers=1):
-    if workers <= 1:
-        return [fn(n, rng) for n, rng in zip(sizes, rngs)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(fn, n, rng) for n, rng in zip(sizes, rngs)]
-        return [f.result() for f in futs]
+def _run_groups(fn, streams, workers=1):
+    """fn(group) for min(workers, len(streams)) contiguous groups of the
+    streams, one thread per group; the results in stream order."""
+    bounds = np.cumsum([0] + _chunk_sizes(len(streams), workers))
+    groups = [streams[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    if len(groups) == 1:
+        return [fn(groups[0])]
+    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        return list(pool.map(fn, groups))
 
 
 @dataclass
@@ -87,10 +93,12 @@ def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
     """N independent walks from x0 with streaming trapezoid potential integrals.
 
     `x0` may also be a sequence of B starts, walked as one fused ensemble:
-    each stream advances its n paths from every start as B stacked blocks
-    that share every Gaussian draw, `potential` holds one field per block
-    (FactorPotential with `rotations`), and one PathEnsemble per start comes
-    back, bitwise the ensemble that start alone would give.
+    the paths from every start form B stacked blocks that share every
+    Gaussian draw, `potential` holds one field per block (FactorPotential
+    with `rotations`), and one PathEnsemble per start comes back, bitwise
+    the ensemble that start alone would give.  The walk is block-major: each
+    block holds the rows of every stream in stream order, so a start's
+    ensemble is one contiguous slice of it.
     """
     n_steps = int(round(T / h))
     if not diffusion.on_step_grid(T, h):
@@ -102,34 +110,33 @@ def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
     starts = [x0] if isinstance(x0, HPoint) else list(x0)
     blocks = len(starts)
     sizes = _chunk_sizes(N)
-    rngs = _chunk_rngs(seed, len(sizes))
+    streams = list(zip(_chunk_rngs(seed, len(sizes)), sizes))
 
     r_start, u_start = diffusion.polar_from_ambient(np.array([x.z for x in starts]))
 
-    def job(n, rng):
-        r0 = np.repeat(r_start, n)
-        u0 = np.repeat(u_start, n, axis=0)
-        return diffusion.ensemble_walk(r0, u0, n_steps, h, rng, potential=potential,
+    def job(group):
+        n = sum(size for _, size in group)
+        return diffusion.ensemble_walk(np.repeat(r_start, n), np.repeat(u_start, n, axis=0),
+                                       n_steps, h, group, potential=potential,
                                        snapshot_steps=snap_steps, drift_fn=drift_fn,
                                        blocks=blocks)
 
-    results = _run_chunks(job, sizes, rngs, workers=workers)
+    results = _run_groups(job, streams, workers=workers)
 
-    def gather(arrays, b):
-        """Block b of each stream's stacked arrays, concatenated over the streams."""
-        return np.concatenate([np.split(a, blocks)[b] for a in arrays])
+    def by_block(arrays):
+        """The groups' block-major arrays as one (blocks, N, ...) array."""
+        return np.concatenate([a.reshape(blocks, -1, *a.shape[1:]) for a in arrays], axis=1)
 
+    log_weights = -by_block([res.integrals for res in results])
+    final_radii = by_block([res.r for res in results])
+    snapshots = {k: [by_block([res.snapshots[k][j] for res in results]) for j in range(3)]
+                 for k in snap_steps}
     bounds = np.cumsum([0] + sizes)
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    ensembles = []
-    for b in range(blocks):
-        snapshots = {
-            k: tuple(gather([res.snapshots[k][j] for res in results], b) for j in range(3))
-            for k in snap_steps
-        }
-        ensembles.append(PathEnsemble(-gather([res.integrals for res in results], b),
-                                      gather([res.r for res in results], b),
-                                      snapshots, slices))
+    ensembles = [PathEnsemble(log_weights[b], final_radii[b],
+                              {k: tuple(a[b] for a in snap) for k, snap in snapshots.items()},
+                              slices)
+                 for b in range(blocks)]
     return ensembles[0] if isinstance(x0, HPoint) else ensembles
 
 
@@ -195,11 +202,11 @@ def smc_estimate_Z(x: HPoint, potential: PotentialField, T, h, N, resample_perio
         raise ValueError("resample_period must be a positive multiple of h")
     n_steps = int(round(T / h))
     sizes = _chunk_sizes(N)
-    rngs = _chunk_rngs(seed, len(sizes))
+    streams = list(zip(_chunk_rngs(seed, len(sizes)), sizes))
 
     r_start, u_start = diffusion.polar_from_ambient(x.z[None, :])
 
-    def job(n, rng):
+    def job(rng, n):
         r = np.full(n, r_start[0])
         u = np.tile(u_start[0], (n, 1))
         integrals = np.zeros(n)
@@ -232,7 +239,8 @@ def smc_estimate_Z(x: HPoint, potential: PotentialField, T, h, N, resample_perio
                 resamples += 1
         return float(np.exp(log_factor) * np.mean(np.exp(-integrals))), trace, resamples
 
-    results = _run_chunks(job, sizes, rngs, workers=workers)
+    results = [res for group in _run_groups(lambda g: [job(*s) for s in g], streams, workers)
+               for res in group]
     z_per_system = np.array([z for z, _, _ in results])
     traces = [t for _, t, _ in results]
     z = float(np.mean(z_per_system))
@@ -269,8 +277,8 @@ def estimate_rho(x: HPoint, potential: PotentialField, T_grid, h, N, seed,
     Nested-window slopes are reported as the convergence diagnostic.
     """
     T_grid = sorted(T_grid)
-    if len(T_grid) < 3:
-        raise ValueError("need at least three horizons")
+    if len(set(T_grid)) < 3:
+        raise ValueError("need at least three distinct horizons")
     ens = simulate_tilted_ensemble(x, potential, max(T_grid), h, N, seed,
                                    snapshot_times=T_grid, workers=workers)
     steps = [int(round(t / h)) for t in T_grid]

@@ -9,13 +9,14 @@ path-excursion budget R_path must use window_radius >= R_path + r_0.
 The same support bound prunes traps exactly.  For a query at radius r and a
 trap at radius r_y, d(x, y) >= r_y - r, so a batch whose largest radius is
 r_max receives nothing from traps with r_y >= r_max + r_0; FactorPotential
-sorts its traps by radius once and sums only the prefix below that cut (per
-block, when it holds rotated copies of the configuration for a fused walk).
+sorts its traps by radius once and sums only the prefix below that cut.  A
+walk of many independent streams in lockstep (and of rotated copies of the
+configuration, one per block of a fused walk) cuts per (stream, block)
+segment, so every segment sums exactly the traps it would sum alone.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import math
@@ -199,7 +200,10 @@ class PotentialField:
 
     v_max: float
 
-    def evaluate_polar(self, r, u):  # (N,), (N, d) -> (N,)
+    def evaluate_polar(self, r, u, segments=None):  # (N,), (N, d) -> (N,)
+        """V at each query.  `segments`, the row counts of the independent
+        streams inside each block of the batch (`diffusion.ensemble_walk`),
+        may bound the work per segment but never changes a value."""
         raise NotImplementedError
 
     def evaluate(self, X):
@@ -224,10 +228,17 @@ class FactorPotential(PotentialField):
     (`diffusion.ensemble_walk` with `blocks`=B): block b is evaluated against
     config.rotate(rotations[b]).  A K-rotation fixes o, so z_0, the trap radii
     and their sort order are bitwise the same in every copy and only a
-    (B, k, d) table of trap directions differs.  The distances come from one
-    call over the cut at the largest radius of any block; each block then
-    sums the prefix below its own cut, so it gets bitwise the value that a
-    one-block potential on its rotated configuration gives.
+    (B, k, d) table of trap directions differs.
+
+    The cut is taken per segment: `segments` splits every block into the
+    rows of the independent streams walked in lockstep, and each (stream,
+    block) segment sums the prefix below its own cut, so it gets bitwise the
+    value that a one-block potential on its rotated configuration gives for
+    that segment alone.  One cut for the whole batch would let the farthest
+    stream set every segment's distance work; instead each block's segments
+    are grouped by the power-of-two bucket of their cut, distances are
+    computed once per bucket, up to the largest cut in it, and each run of
+    consecutive segments with one cut sums its own prefix in one call.
     """
 
     def __init__(self, spec: PotentialSpec, config: Configuration, rotations=None):
@@ -244,7 +255,6 @@ class FactorPotential(PotentialField):
         order = np.argsort(ry, kind="stable")
         self._ry = ry[order]
         self._uy = np.stack([uy[order] for _, uy in polar])
-        self._ry_list = self._ry.tolist()
 
     def check_window(self, max_radius):
         """Enforce the window policy for queries up to geodesic radius max_radius."""
@@ -255,24 +265,45 @@ class FactorPotential(PotentialField):
                 f"window_radius >= {need:.3f}, have {self.config.window_radius:.3f}"
             )
 
-    def _near_sum(self, r, u):
-        """Profile sums per query over the traps with r_y < max(r_b) + r_0 in
-        each block b (all others add 0), and the largest radius of the batch."""
-        blocks = len(self._uy)
-        r = np.asarray(r, dtype=float).reshape(blocks, -1)
+    def _near_sum(self, r, u, segments=None):
+        """Profile sums per query over the traps below its segment's cut (all
+        others add 0), and the largest radius of the batch."""
+        r = np.asarray(r, dtype=float)
         u = np.asarray(u, dtype=float)
-        u = u.reshape(blocks, r.shape[1], u.shape[-1])
-        tops = r.max(axis=1).tolist() if r.size else [0.0] * blocks
-        cuts = [bisect.bisect_left(self._ry_list, t + self.spec.support_radius) for t in tops]
-        k = max(cuts)
-        prof = self.spec.profile(polar_distances(r, u, self._ry[:k], self._uy[:, :k]))
-        sums = np.empty(r.shape)
-        for b, cut in enumerate(cuts):
-            prof[b, :, :cut].sum(axis=1, out=sums[b])
-        return sums.reshape(-1), max(tops)
+        sums = np.zeros(len(r))
+        if not len(r):
+            return sums, 0.0
+        blocks = len(self._uy)
+        n = len(r) // blocks
+        sizes = np.asarray([n] if segments is None else segments)
+        ends = np.cumsum(sizes)
+        tops = np.maximum.reduceat(r.reshape(blocks, n), ends - sizes, axis=1)
+        cuts = np.searchsorted(self._ry, tops + self.spec.support_radius)
+        for b, cut_b in enumerate(cuts.tolist()):
+            runs = []  # [cut, first row, end row] of consecutive segments with equal cuts
+            for cut, z in zip(cut_b, (b * n + ends).tolist()):
+                if runs and runs[-1][0] == cut:
+                    runs[-1][2] = z
+                else:
+                    runs.append([cut, runs[-1][2] if runs else b * n, z])
+            buckets = {}
+            for run in runs:
+                buckets.setdefault(run[0].bit_length(), []).append(run)
+            buckets.pop(0, None)  # a cut of 0 keeps no trap: those sums stay 0
+            for group in buckets.values():
+                k = max(cut for cut, _, _ in group)
+                rows = (slice(group[0][1], group[0][2]) if len(group) == 1
+                        else np.concatenate([np.arange(a, z) for _, a, z in group]))
+                prof = self.spec.profile(polar_distances(
+                    r[rows], u[rows], self._ry[:k], self._uy[b, :k]))
+                i = 0
+                for cut, a, z in group:
+                    prof[i:i + z - a, :cut].sum(axis=1, out=sums[a:z])
+                    i += z - a
+        return sums, float(r.max())
 
-    def evaluate_polar(self, r, u):
-        sums, max_radius = self._near_sum(r, u)
+    def evaluate_polar(self, r, u, segments=None):
+        sums, max_radius = self._near_sum(r, u, segments)
         self.check_window(max_radius)
         return np.minimum(self.spec.v_max, sums)
 
@@ -288,7 +319,7 @@ class ConstantPotential(PotentialField):
         self.c = float(c)
         self.v_max = max(self.c, 0.0)
 
-    def evaluate_polar(self, r, u):
+    def evaluate_polar(self, r, u, segments=None):
         return np.full(len(np.asarray(r)), self.c)
 
 
@@ -300,6 +331,6 @@ class ShiftedPotential(PotentialField):
         self.c = float(c)
         self.v_max = base.v_max - min(self.c, 0.0)
 
-    def evaluate_polar(self, r, u):
-        return self.base.evaluate_polar(r, u) - self.c
+    def evaluate_polar(self, r, u, segments=None):
+        return self.base.evaluate_polar(r, u, segments) - self.c
 

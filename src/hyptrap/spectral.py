@@ -229,6 +229,21 @@ def survival_harmonic(op: RadialOperator):
     return h
 
 
+def finite_horizon_survival(op: RadialOperator, T):
+    """Z_T(r) = E^r[exp(-int_0^T V)] on the grid, as h + e^{-TH}(1 - h).
+
+    u = Z_T - h solves the heat equation du/dT = -H u with u(0) = 1 - h, so
+    the survival weight relaxes from 1 to the survival harmonic h.  e^{-TH}
+    acts by full eigensolve in the symmetric similarity form: with
+    s = sqrt(weights), e^{-TH} f = s^{-1} U e^{-T Lambda} U^t (s f).
+    """
+    h = survival_harmonic(op)
+    vals, vecs = eigh_tridiagonal(op.diag, op.offdiag)
+    s = np.sqrt(op.weights)
+    coeffs = vecs.T @ (s * (1.0 - h))
+    return h + (vecs @ (np.exp(-T * vals) * coeffs)) / s
+
+
 def log_derivative_interpolant(grid, phi):
     """(log phi)'(r) from a monotone cubic interpolant of log phi on the grid.
 

@@ -23,8 +23,9 @@ whole-space objects instead:
 3. The whole-space rate is zero, but the estimator fits the finite-T
    relaxation of -log Z_T over T in {10, 20, 40}.  The oracle is therefore
    finite-horizon: Z_T(o) = h(o) + (e^{-TH}(1 - h))(o) on the same radial
-   operator, fitted by the estimator's own weighted least squares with its
-   per-horizon weights (`sigmas`).  The bound 0 <= rho_hat <= V_max stays.
+   operator (`spectral.finite_horizon_survival`), fitted by the estimator's
+   own weighted least squares with its per-horizon weights (`sigmas`).
+   The bound 0 <= rho_hat <= V_max stays.
 4. Eigenfunction ratios Z_T^r / Z_T^o at T=40 are compared with h(r)/h(0),
    which rises with r as escape from the trap gets easier; the box phi
    falls towards the wall instead.
@@ -42,7 +43,6 @@ import conftest
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import eigh_tridiagonal
 
 from hyptrap import cli, diffusion, feynman_kac, fock, geometry, spectral, stats
 from hyptrap.feynman_kac import canonical_axis_point
@@ -82,22 +82,6 @@ def oracle():
     return op, spectral.solve_ground_state(op), spectral.survival_harmonic(op)
 
 
-def finite_horizon_survival(op, h_surv, T_grid):
-    """Z_T(o) = h(o) + (e^{-TH}(1 - h))(o) for each horizon, by full eigensolve.
-
-    e^{-TH} acts in the symmetric similarity form: with s = sqrt(weights),
-    e^{-TH} f = s^{-1} U e^{-T Lambda} U^t (s f).
-    """
-    vals, vecs = eigh_tridiagonal(op.diag, op.offdiag)
-    s = np.sqrt(op.weights)
-    coeffs = vecs.T @ (s * (1.0 - h_surv))
-    z = []
-    for T in T_grid:
-        z_r = h_surv + (vecs @ (np.exp(-T * vals) * coeffs)) / s
-        z.append(float(PchipInterpolator(op.grid, z_r)(1e-9)))
-    return np.array(z)
-
-
 def test_criterion_1_free_spectral_bottom():
     details = []
     ok = True
@@ -134,11 +118,13 @@ def test_criterion_2_radial_drift():
 
 
 def test_criterion_3_quenched_survival_vs_oracle(oracle):
-    op, _, h_surv = oracle
+    op, _, _ = oracle
     T_grid = [10.0, 20.0, 40.0]
     est = feynman_kac.estimate_rho(origin(2), planted_trap(), T_grid,
                                    0.01, 10_000, 7)
-    z_oracle = finite_horizon_survival(op, h_surv, T_grid)
+    z_oracle = np.array([
+        float(PchipInterpolator(op.grid, spectral.finite_horizon_survival(op, T))(1e-9))
+        for T in T_grid])
     rho_oracle = feynman_kac._wls_slope(np.asarray(T_grid), -np.log(z_oracle),
                                         np.asarray(est.diagnostics["sigmas"]))
     within = abs(est.rho_hat - rho_oracle) < 3 * est.rho_stderr

@@ -57,6 +57,16 @@ class TestParseConfig:
         assert line.split()[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_grid", ["2,2,2", "1,1,2"])
+    def test_rho_needs_three_distinct_horizons(self, tmp_path, capsys, t_grid):
+        # a repeated horizon leaves the decay-rate fit underdetermined
+        path = write_config(tmp_path, FAST + f"T = 2\nt_grid = {t_grid}\n")
+        for cmd in ("estimate-rho", "full-pipeline"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", path, "--out", str(out)]) == 2
+            assert "distinct horizons" in capsys.readouterr().err
+            assert not list(out.iterdir())
+
     def test_cli_overrides(self):
         cfg = resolve_config({}, cli_seed=42, cli_workers=3)
         assert cfg["seed"] == 42
@@ -186,17 +196,19 @@ class TestDeterminism:
                 continue
             assert f.read_bytes() == (outs[1] / f.name).read_bytes(), f.name
 
-    def assert_worker_count_byte_identical(self, tmp_path, command, path):
+    def assert_worker_count_byte_identical(self, tmp_path, command, path,
+                                           workers=("1", "4")):
         outs = []
-        for name, workers in (("w1", "1"), ("w4", "4")):
-            out = tmp_path / name
-            assert main([command, "--config", path, "--workers", workers,
+        for w in workers:
+            out = tmp_path / f"w{w}"
+            assert main([command, "--config", path, "--workers", w,
                          "--out", str(out)]) == 0
             outs.append(out)
         for f in outs[0].iterdir():
             if f.name == "timing.txt":
                 continue
-            assert f.read_bytes() == (outs[1] / f.name).read_bytes(), f.name
+            for other in outs[1:]:
+                assert f.read_bytes() == (other / f.name).read_bytes(), (other.name, f.name)
 
     def test_worker_count_byte_identical(self, tmp_path):
         self.assert_worker_count_byte_identical(tmp_path, "q-marginal",
@@ -209,10 +221,12 @@ class TestDeterminism:
         self.assert_worker_count_byte_identical(tmp_path, "estimate-rho", path)
 
     def test_worker_count_byte_identical_poisson_phi_profile(self, tmp_path):
-        # the base and every probe off o walk as one fused ensemble of blocks
+        # the base and every probe off o walk as one fused ensemble of blocks;
+        # 3 and 20 workers do not divide the 16 streams into equal groups
         path = write_config(tmp_path, FAST + "kappa = 0.05\nplanted =\n"
                             "window_radius = 9\nT = 0.75\nprobes = 0,0.5,1,2\n")
-        self.assert_worker_count_byte_identical(tmp_path, "phi-profile", path)
+        self.assert_worker_count_byte_identical(tmp_path, "phi-profile", path,
+                                                workers=("1", "3", "4", "20"))
 
 
 class TestBuildScene:

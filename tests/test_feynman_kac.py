@@ -357,3 +357,75 @@ class TestEnsembleInfrastructure:
                                        0.01, 100, 0)
         total = sum(s.stop - s.start for s in ens.chunk_slices)
         assert total == 100 == ens.n_paths
+
+
+class TestLockstepStreams:
+    def test_lockstep_walk_is_bitwise_per_stream_walks(self):
+        # an uncapped scene with no trap inside radius 2.5 and three rotated
+        # blocks starting at radii 0, 2 and 4.5: the (stream, block) segments
+        # cut the sorted traps at 0 (near o), at about a hundred and at about
+        # two thousand traps, so they fall in different power-of-two buckets
+        d, h, n_steps, N, seed = 2, 0.01, 20, 48, 31
+        scene = sample_configuration(d, 8.0, 1.0, np.random.default_rng(30))
+        ry, _ = diffusion.polar_from_ambient(scene.points)
+        config = Configuration(scene.points[ry > 2.5], 8.0, 1.0, d)
+        spec = PotentialSpec(1.0, 1.0, 100.0, 1.0)
+        starts = [canonical_axis_point(d, r) for r in (0.0, 2.0, 4.5)]
+        rng = np.random.default_rng(32)
+        rotations = [np.eye(d + 1)]
+        for _ in starts[1:]:
+            rot = np.eye(d + 1)
+            rot[1:, 1:], _ = np.linalg.qr(rng.standard_normal((d, d)))
+            rotations.append(rot)
+        pot = FactorPotential(spec, config, rotations)
+        snaps = [0.1, 0.2]
+        ens = simulate_tilted_ensemble(starts, pot, n_steps * h, h, N, seed,
+                                       snapshot_times=snaps)
+        slices = ens[0].chunk_slices
+        assert len(slices) == feynman_kac.NUM_STREAMS
+        # the segment cuts at the final step
+        ry_sorted = np.sort(ry[ry > 2.5])
+        cuts = {int(np.searchsorted(ry_sorted, e.final_radii[s].max() + 1.0))
+                for e in ens for s in slices}
+        assert min(cuts) == 0 and len(cuts) > 3
+        assert len({c.bit_length() for c in cuts if c > 0}) >= 2
+        r_start, u_start = diffusion.polar_from_ambient(np.array([x.z for x in starts]))
+        steps = [int(round(t / h)) for t in snaps]
+        for s, stream_rng in zip(slices, feynman_kac._chunk_rngs(seed, len(slices))):
+            n = s.stop - s.start
+            alone = diffusion.ensemble_walk(np.repeat(r_start, n), np.repeat(u_start, n, axis=0),
+                                            n_steps, h, stream_rng, potential=pot,
+                                            snapshot_steps=steps, blocks=len(starts))
+            for b, e in enumerate(ens):
+                block = slice(b * n, (b + 1) * n)
+                assert np.array_equal(e.log_weights[s], -alone.integrals[block])
+                assert np.array_equal(e.final_radii[s], alone.r[block])
+                for k in steps:
+                    for got, want in zip(e.snapshots[k], alone.snapshots[k]):
+                        assert np.array_equal(got[s], want[block])
+        # contiguous groups of streams on three threads walk the same paths
+        threaded = simulate_tilted_ensemble(starts, pot, n_steps * h, h, N, seed,
+                                            snapshot_times=snaps, workers=3)
+        for e, t in zip(ens, threaded):
+            assert np.array_equal(e.log_weights, t.log_weights)
+            assert all(np.array_equal(a, b)
+                       for k in steps for a, b in zip(e.snapshots[k], t.snapshots[k]))
+
+    def test_one_kernel_call_per_step(self, monkeypatch):
+        # the 16 streams advance together: one step_polar and one potential
+        # evaluation per step, not one per stream
+        counts = {"step": 0, "potential": 0}
+        step, evaluate = diffusion.step_polar, FactorPotential.evaluate_polar
+
+        def counting_step(*args, **kwargs):
+            counts["step"] += 1
+            return step(*args, **kwargs)
+
+        def counting_evaluate(*args, **kwargs):
+            counts["potential"] += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "step_polar", counting_step)
+        monkeypatch.setattr(FactorPotential, "evaluate_polar", counting_evaluate)
+        estimate_Z(origin(2), planted_trap(), 0.1, 0.01, 40, 0, workers=1)
+        assert counts == {"step": 10, "potential": 11}

@@ -319,6 +319,48 @@ class TestFactorPotential:
         with pytest.raises(ValueError, match="fix the origin"):
             FactorPotential(self.spec, one_trap, [np.eye(3), boost])
 
+    def test_segment_cuts_match_one_block_per_segment(self):
+        # every (stream, block) segment of a lockstep batch is bitwise the
+        # one-block potential on its rotated configuration for that segment
+        # alone; tied trap radii on four circles, sampled traps beyond 1.5,
+        # and segment tops whose cut falls on a circle (top + r0 = 2.5 or 3),
+        # keeps no trap (top 0.3), or keeps about a thousand traps (tops 4.9
+        # and 5: two cuts in one power-of-two bucket)
+        rng = np.random.default_rng(14)
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        circle = np.column_stack([np.cos(angles), np.sin(angles)])
+        rings = ambient_from_polar(np.repeat([1.5, 2.5, 3.0, 4.0], 12), np.tile(circle, (4, 1)))
+        scene = sample_configuration(2, 8.0, 1.0, rng)
+        far = scene.points[polar_from_ambient(scene.points)[0] > 1.5]
+        config = Configuration(np.vstack([rings, far]), 8.0, 1.0, 2)
+        rotations = [np.eye(3)]
+        for theta in (0.4, 2.0):
+            rotations.append(geometry.rotation_to_axis(
+                HPoint(np.array([math.cosh(1.0), math.sinh(1.0) * math.cos(theta),
+                                 math.sinh(1.0) * math.sin(theta)]))))
+        sizes = [1, 4, 7, 2, 3]
+        r, u = [], []
+        for tops in ([2.0, 0.3, 5.0, 1.5, 4.9], [0.3, 4.9, 1.5, 2.0, 5.0],
+                     [5.0, 2.0, 4.9, 1.5, 0.3]):
+            for top, n in zip(tops, sizes):
+                seg = rng.uniform(0.0, top, n)
+                seg[0] = top
+                r.append(seg)
+                u.append(np.vstack([circle[:1], unit_directions(rng, n - 1)]))
+        r, u = np.concatenate(r), np.vstack(u)
+        ry = np.sort(polar_from_ambient(config.points)[0])
+        cuts = set(np.searchsorted(ry, np.array([0.3, 1.5, 2.0, 4.9, 5.0]) + 1.0).tolist())
+        assert 0 in cuts and len(cuts) == 5
+        assert len({c.bit_length() for c in cuts}) == 4
+        bounds = np.cumsum([0] + sizes)
+        for spec in (self.spec, PotentialSpec(1.0, 1.0, 100.0, 1.0)):
+            got = FactorPotential(spec, config, rotations).evaluate_polar(r, u, segments=sizes)
+            for b, k in enumerate(rotations):
+                alone = FactorPotential(spec, config.rotate(k))
+                for a, z in zip(bounds[:-1], bounds[1:]):
+                    rows = slice(b * bounds[-1] + a, b * bounds[-1] + z)
+                    assert np.array_equal(got[rows], alone.evaluate_polar(r[rows], u[rows]))
+
 
 class TestPolarDistances:
     def test_matches_ambient(self):
