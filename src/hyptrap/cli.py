@@ -253,6 +253,13 @@ def _check_rho_horizons(cfg):
                           f"decay rate, got {cfg['t_grid']}")
 
 
+def _check_marginal_time(cfg):
+    """The Q-marginal is read before every horizon; fail before simulating."""
+    if cfg["marginal_time"] >= min(cfg["t_grid"], default=0.0):
+        raise ConfigError(f"marginal_time {cfg['marginal_time']:g} must precede every "
+                          f"horizon in t_grid, got {cfg['t_grid']}")
+
+
 def cmd_estimate_rho(cfg, out):
     _check_rho_horizons(cfg)
     spec, config, potential = build_scene(cfg)
@@ -269,7 +276,7 @@ def cmd_estimate_rho(cfg, out):
 def cmd_phi_profile(cfg, out):
     spec, config, potential = build_scene(cfg)
     probes = [canonical_axis_point(cfg["d"], r) for r in cfg["probes"]]
-    table = feynman_kac.estimate_phi_ratio(probes, spec, config, cfg["T"], cfg["h"],
+    table = feynman_kac.estimate_phi_ratio(probes, potential, cfg["T"], cfg["h"],
                                            cfg["n_paths"], cfg["seed"],
                                            workers=cfg["workers"])
     write_csv(out / "phi_ratio.csv", "r,ratio,stderr", table)
@@ -277,6 +284,7 @@ def cmd_phi_profile(cfg, out):
 
 
 def cmd_q_marginal(cfg, out):
+    _check_marginal_time(cfg)
     spec, config, potential = build_scene(cfg)
     qm = feynman_kac.q_marginal(geometry.origin(cfg["d"]), potential,
                                 cfg["marginal_time"], cfg["t_grid"], cfg["h"],
@@ -381,6 +389,7 @@ def _pipeline_core(cfg, out, include_rho):
     # the config first: one that cannot be answered fails before any artifact
     if include_rho:
         _check_rho_horizons(cfg)
+    _check_marginal_time(cfg)
     spec, config, potential = build_scene(cfg)
     if cfg["planted"] != [0.0] or cfg["kappa"] != 0:
         raise ConfigError("the oracle is one trap at o, so this command needs "
@@ -405,7 +414,7 @@ def _pipeline_core(cfg, out, include_rho):
     # walk's own horizon; Z_T(r)/Z_T(0) tends to h(r)/h(0) as T grows
     T = max(cfg["t_grid"])
     probes = [canonical_axis_point(d, r) for r in cfg["probes"]]
-    table = feynman_kac.estimate_phi_ratio(probes, spec, config, T, cfg["h"],
+    table = feynman_kac.estimate_phi_ratio(probes, potential, T, cfg["h"],
                                            cfg["n_paths"], cfg["seed"],
                                            workers=cfg["workers"])
     from scipy.interpolate import PchipInterpolator

@@ -78,8 +78,9 @@ def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     `rng` is one generator, or a sequence of (generator, rows) pairs: the
     independent streams walked in lockstep, each drawing its own rows of
     the (N / blocks, d) Gaussian block in order.  That block is tiled over
-    `blocks` equal blocks of paths, which share the draw, so every row takes
-    bitwise the step it would take alone with its generator's state.
+    `blocks` equal blocks of paths, which share the draw.  Every operation
+    acts row by row, so each row takes bitwise the step it would take alone
+    from its own state with its generator's state.
     """
     N, d = u.shape
     draws = _draws(rng, N // blocks)
@@ -168,11 +169,10 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
     a sequence of (generator, rows) pairs, the independent streams of each
     block (`step_polar`); every step makes one `step_polar` and one
     `evaluate_polar` call for all of them.  The N paths may stack `blocks`
-    equal blocks that share every Gaussian draw; the potential then
-    evaluates block b against its own field (a FactorPotential built with
-    one rotation per block), and it receives the streams' row counts as
-    `segments`, so each (stream, block) segment is bitwise the walk that
-    stream would take alone.  `integrals` and `v0`, the integrals
+    equal blocks, each from its own starts, that share every Gaussian draw.
+    The step and the potential are functions of each row alone, so every
+    (stream, block) segment is bitwise the walk that stream would take
+    alone from that block's starts.  `integrals` and `v0`, the integrals
     accumulated so far and the potential at (r0, u0), continue an earlier
     walk exactly.
     """
@@ -180,18 +180,17 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
     r = np.array(r0, dtype=float)
     u = np.array(u0, dtype=float)
     draws = _draws(rng, len(r) // blocks)
-    segments = [n for _, n in draws]
     integrals = np.zeros(len(r)) if integrals is None else np.array(integrals, dtype=float)
     snapshots = {}
     v_prev = None
     if potential is not None:
-        v_prev = potential.evaluate_polar(r, u, segments=segments) if v0 is None else v0
+        v_prev = potential.evaluate_polar(r, u) if v0 is None else v0
     if 0 in snapshot_steps:
         snapshots[0] = (r.copy(), u.copy(), integrals.copy())
     for k in range(1, n_steps + 1):
         r, u = step_polar(r, u, h, draws, drift_fn=drift_fn, blocks=blocks)
         if potential is not None:
-            v_cur = potential.evaluate_polar(r, u, segments=segments)
+            v_cur = potential.evaluate_polar(r, u)
             integrals += 0.5 * h * (v_prev + v_cur)
             v_prev = v_cur
         if k in snapshot_steps:

@@ -22,7 +22,7 @@ import numpy as np
 
 from hyptrap import diffusion, geometry, spectral
 from hyptrap.geometry import HPoint
-from hyptrap.ppp import Configuration, FactorPotential, PotentialField, PotentialSpec
+from hyptrap.ppp import PotentialField
 from hyptrap.stats import effective_sample_size
 
 NUM_STREAMS = 16
@@ -94,11 +94,10 @@ def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
 
     `x0` may also be a sequence of B starts, walked as one fused ensemble:
     the paths from every start form B stacked blocks that share every
-    Gaussian draw, `potential` holds one field per block (FactorPotential
-    with `rotations`), and one PathEnsemble per start comes back, bitwise
-    the ensemble that start alone would give.  The walk is block-major: each
-    block holds the rows of every stream in stream order, so a start's
-    ensemble is one contiguous slice of it.
+    Gaussian draw on the one pointwise `potential`, and one PathEnsemble per
+    start comes back, bitwise the ensemble that start alone would give.  The
+    walk is block-major: each block holds the rows of every stream in stream
+    order, so a start's ensemble is one contiguous slice of it.
     """
     n_steps = int(round(T / h))
     if not diffusion.on_step_grid(T, h):
@@ -138,13 +137,6 @@ def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
                               slices)
                  for b in range(blocks)]
     return ensembles[0] if isinstance(x0, HPoint) else ensembles
-
-
-def path_potential_integral(path: diffusion.PathSample, potential: PotentialField):
-    """Trapezoid rule for int_0^T V(X_s) ds along a stored path."""
-    v = potential.evaluate(path.points)
-    hgrid = np.diff(path.times)
-    return float(np.sum(0.5 * hgrid * (v[:-1] + v[1:])))
 
 
 def _jackknife_stderr(n_streams, statistic):
@@ -327,29 +319,24 @@ def canonical_axis_point(d, r):
     return HPoint(z)
 
 
-def estimate_phi_ratio(probes, spec: PotentialSpec, config: Configuration, T, h, N,
-                       seed, workers=1):
+def estimate_phi_ratio(probes, potential: PotentialField, T, h, N, seed, workers=1):
     """Ratios Z_T^{x_j} / Z_T^o as generalized-eigenfunction ratios.
 
-    Each probe is canonicalized: a K-rotation takes it to the e_1 axis and is
-    applied to the configuration instead, so probe sets differing by a common
-    rotation give literally identical estimates.  The base o and every probe
-    off o are walked as one fused ensemble (`simulate_tilted_ensemble` with
-    one start per block and a FactorPotential holding each block's rotated
-    configuration): the blocks share every Gaussian draw (common random
-    numbers), and each is bitwise the `estimate_Z` walk from its canonical
-    start on its rotated configuration.  A probe at o is the base block
-    itself: ratio 1, stderr 0.
+    The base o and every probe off o are walked as one fused ensemble
+    (`simulate_tilted_ensemble` with one start per block), each block from
+    its probe itself: the blocks share every Gaussian draw (common random
+    numbers), and each is bitwise the `estimate_Z` walk from its probe.  A
+    probe at o is the base block itself: ratio 1, stderr 0.  Each row is
+    (distance of the probe from o, ratio, paired jackknife stderr).
     """
     if N < 2:
         raise ValueError("need at least two paths")
-    o = geometry.origin(config.d)
+    if not probes:
+        return []
+    o = geometry.origin(probes[0].d)
     radii = [geometry.distance(o, probe) for probe in probes]
-    moved = [probe for probe, r in zip(probes, radii) if r > 0.0]
-    starts = [o] + [canonical_axis_point(config.d, r) for r in radii if r > 0.0]
-    rotations = [geometry.rotation_to_axis(x) for x in [o] + moved]
-    ensembles = simulate_tilted_ensemble(starts, FactorPotential(spec, config, rotations),
-                                         T, h, N, seed, workers=workers)
+    starts = [o] + [probe for probe, r in zip(probes, radii) if r > 0.0]
+    ensembles = simulate_tilted_ensemble(starts, potential, T, h, N, seed, workers=workers)
     z = [float(np.mean(ens.weights)) for ens in ensembles]
     chunks = [np.array([np.mean(ens.weights[s]) for s in ens.chunk_slices])
               for ens in ensembles]

@@ -110,40 +110,6 @@ def apply_isometry(g: Isometry, x: HPoint) -> HPoint:
     return HPoint(project_to_sheet(g.A @ x.z))
 
 
-def rotation_to_axis(x: HPoint) -> Isometry:
-    """A K-rotation (stabilizer of o, det +1) mapping x to (cosh r, sinh r, 0, ...).
-
-    Planar rotation in span(u, e_1) of the spatial block; the identity when
-    x is already on the positive e_1 axis or equals o.
-    """
-    d = x.d
-    sp = x.z[1:]
-    n = np.linalg.norm(sp)
-    A = np.eye(d + 1)
-    if n < 1e-14:
-        return Isometry(A)
-    u = sp / n
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    c = float(u @ e1)
-    p = u - c * e1
-    s = np.linalg.norm(p)
-    if s < 1e-14:
-        if c > 0:
-            return Isometry(A)
-        # antipodal on the e_1 axis: rotate by pi in the (e_1, e_2) plane
-        A[1, 1] = -1.0
-        A[2, 2] = -1.0
-        return Isometry(A)
-    p /= s
-    # rotation sending e_1 -> u in the (e_1, p) plane; we return its inverse
-    R = np.eye(d) + (c - 1.0) * (np.outer(e1, e1) + np.outer(p, p)) + s * (
-        np.outer(p, e1) - np.outer(e1, p)
-    )
-    A[1:, 1:] = R.T
-    return Isometry(A)
-
-
 # ---------------------------------------------------------------------------
 # batched kernels (arrays of shape (N, d+1))
 # ---------------------------------------------------------------------------

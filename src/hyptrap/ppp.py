@@ -7,12 +7,12 @@ window an exact restriction of the infinite process: a caller declaring a
 path-excursion budget R_path must use window_radius >= R_path + r_0.
 
 The same support bound prunes traps exactly.  For a query at radius r and a
-trap at radius r_y, d(x, y) >= r_y - r, so a batch whose largest radius is
-r_max receives nothing from traps with r_y >= r_max + r_0; FactorPotential
-sorts its traps by radius once and sums only the prefix below that cut.  A
-walk of many independent streams in lockstep (and of rotated copies of the
-configuration, one per block of a fused walk) cuts per (stream, block)
-segment, so every segment sums exactly the traps it would sum alone.
+trap at radius r_y, d(x, y) >= r_y - r, so the query receives nothing from
+traps with r_y >= r + r_0; FactorPotential sorts its traps by radius once
+and each query sums a prefix of them whose length depends on that query
+alone.  V is therefore a pointwise function: a query's value is bitwise the
+same in any batch, which is what lets a walk evaluate many independent
+streams and starts in one call.
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ class Configuration:
     def add_point(self, x: HPoint) -> "Configuration":
         pts = np.vstack([self.points, x.z[None, :]]) if len(self) else x.z[None, :]
         return Configuration(pts, self.window_radius, self.intensity, self.d)
-
-    def rotate(self, k) -> "Configuration":
-        """Apply a K-element (matrix fixing o) to every point."""
-        A = k.A if hasattr(k, "A") else np.asarray(k)
-        return Configuration(self.points @ A.T, self.window_radius, self.intensity, self.d)
 
     def to_json(self):
         return json.dumps(
@@ -200,10 +195,9 @@ class PotentialField:
 
     v_max: float
 
-    def evaluate_polar(self, r, u, segments=None):  # (N,), (N, d) -> (N,)
-        """V at each query.  `segments`, the row counts of the independent
-        streams inside each block of the batch (`diffusion.ensemble_walk`),
-        may bound the work per segment but never changes a value."""
+    def evaluate_polar(self, r, u):  # (N,), (N, d) -> (N,)
+        """V at each query: a function of that query alone, bitwise the same
+        whatever batch it is evaluated in."""
         raise NotImplementedError
 
     def evaluate(self, X):
@@ -218,43 +212,25 @@ class PotentialField:
 class FactorPotential(PotentialField):
     """min(V_max, sum over configuration points of eta(d(x, y))).
 
-    The trap polar states are stored sorted by radius.  A batch whose largest
-    radius is r_max only sums the traps with r_y < r_max + r_0: every other
-    trap has d(x, y) >= r_y - r >= r_0 for each query, so its profile term
-    is exactly zero and the cut changes no value.
-
-    With `rotations` (K-elements, one per block) the potential holds B rotated
-    copies of the configuration, for a batch of B equal blocks of queries
-    (`diffusion.ensemble_walk` with `blocks`=B): block b is evaluated against
-    config.rotate(rotations[b]).  A K-rotation fixes o, so z_0, the trap radii
-    and their sort order are bitwise the same in every copy and only a
-    (B, k, d) table of trap directions differs.
-
-    The cut is taken per segment: `segments` splits every block into the
-    rows of the independent streams walked in lockstep, and each (stream,
-    block) segment sums the prefix below its own cut, so it gets bitwise the
-    value that a one-block potential on its rotated configuration gives for
-    that segment alone.  One cut for the whole batch would let the farthest
-    stream set every segment's distance work; instead each block's segments
-    are grouped by the power-of-two bucket of their cut, distances are
-    computed once per bucket, up to the largest cut in it, and each run of
-    consecutive segments with one cut sums its own prefix in one call.
+    The trap polar states are stored sorted by radius.  A query at radius r
+    has its own cut c, the number of traps with r_y < r + r_0: every other
+    trap has d(x, y) >= r_y - r >= r_0, so its profile term is exactly zero.
+    The query sums the first k(c) = min(2^bit_length(c), n_traps) traps, a
+    prefix length that depends on the query alone, so every bit of its row
+    sum does too; the traps between c and k(c) add exact zeros.  Queries of
+    one bit length share a distance table, summed along each contiguous row.
     """
 
-    def __init__(self, spec: PotentialSpec, config: Configuration, rotations=None):
+    def __init__(self, spec: PotentialSpec, config: Configuration):
         self.spec = spec
         self.config = config
         self.v_max = spec.v_max
         from hyptrap.diffusion import polar_from_ambient
 
-        copies = [config] if rotations is None else [config.rotate(k) for k in rotations]
-        polar = [polar_from_ambient(c.points) for c in copies]
-        ry = polar[0][0]
-        if any(not np.array_equal(r, ry) for r, _ in polar):
-            raise ValueError("rotations must fix the origin")
+        ry, uy = polar_from_ambient(config.points)
         order = np.argsort(ry, kind="stable")
         self._ry = ry[order]
-        self._uy = np.stack([uy[order] for _, uy in polar])
+        self._uy = uy[order]
 
     def check_window(self, max_radius):
         """Enforce the window policy for queries up to geodesic radius max_radius."""
@@ -265,51 +241,43 @@ class FactorPotential(PotentialField):
                 f"window_radius >= {need:.3f}, have {self.config.window_radius:.3f}"
             )
 
-    def _near_sum(self, r, u, segments=None):
-        """Profile sums per query over the traps below its segment's cut (all
-        others add 0), and the largest radius of the batch."""
+    def _near_sum(self, r, u):
+        """Profile sums per query over the prefix of traps its own cut sets
+        (all others add 0)."""
         r = np.asarray(r, dtype=float)
         u = np.asarray(u, dtype=float)
         sums = np.zeros(len(r))
         if not len(r):
-            return sums, 0.0
-        blocks = len(self._uy)
-        n = len(r) // blocks
-        sizes = np.asarray([n] if segments is None else segments)
-        ends = np.cumsum(sizes)
-        tops = np.maximum.reduceat(r.reshape(blocks, n), ends - sizes, axis=1)
-        cuts = np.searchsorted(self._ry, tops + self.spec.support_radius)
-        for b, cut_b in enumerate(cuts.tolist()):
-            runs = []  # [cut, first row, end row] of consecutive segments with equal cuts
-            for cut, z in zip(cut_b, (b * n + ends).tolist()):
-                if runs and runs[-1][0] == cut:
-                    runs[-1][2] = z
-                else:
-                    runs.append([cut, runs[-1][2] if runs else b * n, z])
-            buckets = {}
-            for run in runs:
-                buckets.setdefault(run[0].bit_length(), []).append(run)
-            buckets.pop(0, None)  # a cut of 0 keeps no trap: those sums stay 0
-            for group in buckets.values():
-                k = max(cut for cut, _, _ in group)
-                rows = (slice(group[0][1], group[0][2]) if len(group) == 1
-                        else np.concatenate([np.arange(a, z) for _, a, z in group]))
-                prof = self.spec.profile(polar_distances(
-                    r[rows], u[rows], self._ry[:k], self._uy[b, :k]))
-                i = 0
-                for cut, a, z in group:
-                    prof[i:i + z - a, :cut].sum(axis=1, out=sums[a:z])
-                    i += z - a
-        return sums, float(r.max())
+            return sums
 
-    def evaluate_polar(self, r, u, segments=None):
-        sums, max_radius = self._near_sum(r, u, segments)
-        self.check_window(max_radius)
-        return np.minimum(self.spec.v_max, sums)
+        def cut_bits(x):
+            """Bit length of the cut at each radius: frexp's exponent, 0 for 0."""
+            return np.frexp(np.searchsorted(self._ry, x + self.spec.support_radius))[1]
+
+        lo, hi = cut_bits(np.array([r.min(), r.max()]))
+        if lo == hi:  # cuts grow with r, so every query has this bit length
+            groups = [(lo, slice(None))]
+        else:
+            bits = cut_bits(r)
+            groups = [(b, bits == b) for b in np.flatnonzero(np.bincount(bits)).tolist()]
+        for b, rows in groups:
+            if not b:
+                continue  # a cut of 0 keeps no trap: those sums stay 0
+            k = min(1 << b, len(self._ry))
+            # sum along each row: summed over the trap axis of a (k, n) table
+            # instead, a lone query's (k, 1) column is contiguous and numpy
+            # sums it pairwise, so its bits would differ from a batch's
+            sums[rows] = self.spec.profile(polar_distances(
+                r[rows], u[rows], self._ry[:k], self._uy[:k])).sum(axis=1)
+        return sums
+
+    def evaluate_polar(self, r, u):
+        self.check_window(float(np.max(r, initial=0.0)))
+        return np.minimum(self.spec.v_max, self._near_sum(r, u))
 
     def uncapped_polar(self, r, u):
         """The raw sum without the V_max cap (monotone in the configuration)."""
-        return self._near_sum(r, u)[0]
+        return self._near_sum(r, u)
 
 
 class ConstantPotential(PotentialField):
@@ -319,7 +287,7 @@ class ConstantPotential(PotentialField):
         self.c = float(c)
         self.v_max = max(self.c, 0.0)
 
-    def evaluate_polar(self, r, u, segments=None):
+    def evaluate_polar(self, r, u):
         return np.full(len(np.asarray(r)), self.c)
 
 
@@ -331,6 +299,6 @@ class ShiftedPotential(PotentialField):
         self.c = float(c)
         self.v_max = base.v_max - min(self.c, 0.0)
 
-    def evaluate_polar(self, r, u, segments=None):
-        return self.base.evaluate_polar(r, u, segments) - self.c
+    def evaluate_polar(self, r, u):
+        return self.base.evaluate_polar(r, u) - self.c
 

@@ -139,9 +139,8 @@ def test_criterion_4_eigenfunction_ratio(oracle):
     op, _, h_surv = oracle
     interp = PchipInterpolator(op.grid, h_surv)
     h0 = float(interp(1e-9))
-    config = Configuration(origin(2).z[None, :], 60.0, 0.0, 2)
     probes = [canonical_axis_point(2, r) for r in (0.5, 1.0, 2.0, 4.0)]
-    table = feynman_kac.estimate_phi_ratio(probes, SPEC, config, 40.0, 0.01,
+    table = feynman_kac.estimate_phi_ratio(probes, planted_trap(), 40.0, 0.01,
                                            10_000, 7)
     ok = True
     details = []

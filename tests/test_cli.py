@@ -67,6 +67,15 @@ class TestParseConfig:
             assert "distinct horizons" in capsys.readouterr().err
             assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("cmd", ["q-marginal", "full-pipeline", "doob-compare"])
+    def test_marginal_time_must_precede_horizons(self, tmp_path, capsys, cmd):
+        # the Q-marginal at t = 1 cannot be read before the horizon 0.5
+        path = write_config(tmp_path, FAST + "t_grid = 0.5,1,1.5\nmarginal_time = 1\n")
+        out = tmp_path / cmd
+        assert main([cmd, "--config", path, "--out", str(out)]) == 2
+        assert "marginal_time" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_cli_overrides(self):
         cfg = resolve_config({}, cli_seed=42, cli_workers=3)
         assert cfg["seed"] == 42

@@ -12,7 +12,6 @@ from hyptrap.geometry import (
     distance,
     minkowski_dot,
     origin,
-    rotation_to_axis,
 )
 
 
@@ -97,7 +96,7 @@ class TestIsometry:
     def test_distance_preserved(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            # K-rotations: the invariance the fused ratio walk relies on
+            # K-rotations
             g = random_rotation(2, rng)
             x, y = random_point(2, rng), random_point(2, rng)
             d1 = distance(x, y)
@@ -107,31 +106,6 @@ class TestIsometry:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(GeometryError):
             Isometry(2.0 * np.eye(3))
-
-
-class TestRotationToAxis:
-    def test_moves_point_to_axis(self):
-        rng = np.random.default_rng(11)
-        for d in (2, 3):
-            for _ in range(200):
-                x = random_point(d, rng)
-                k = rotation_to_axis(x)
-                y = apply_isometry(k, x)
-                # first spatial coordinate carries all the radius
-                assert y.z[1] >= -1e-12
-                assert np.max(np.abs(y.z[2:])) < 1e-9
-                assert abs(distance(origin(d), y) - distance(origin(d), x)) < 1e-10
-
-    def test_fixes_origin(self):
-        rng = np.random.default_rng(12)
-        x = random_point(3, rng)
-        k = rotation_to_axis(x)
-        assert distance(apply_isometry(k, origin(3)), origin(3)) < 1e-12
-
-    def test_antipodal_axis_point(self):
-        x = HPoint(np.array([np.cosh(1.0), -np.sinh(1.0), 0.0]))
-        y = apply_isometry(rotation_to_axis(x), x)
-        assert abs(y.z[1] - np.sinh(1.0)) < 1e-12
 
 
 class TestBatchedKernels:

@@ -76,9 +76,8 @@ class TestSurvivalHarmonic:
         op, h = survival_oracle()
         h_interp = PchipInterpolator(op.grid, h)
         h0 = float(h_interp(1e-9))
-        config = Configuration(origin(D).z[None, :], 60.0, 0.0, D)
         probes = [canonical_axis_point(D, r) for r in (0.5, 1.0, 2.0, 4.0)]
-        table = feynman_kac.estimate_phi_ratio(probes, SPEC, config, 40.0, H,
+        table = feynman_kac.estimate_phi_ratio(probes, planted_trap(), 40.0, H,
                                                4000, 7)
         for r, ratio, se in table:
             target = float(h_interp(r)) / h0

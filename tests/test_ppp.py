@@ -201,7 +201,9 @@ class TestFactorPotential:
             q[:, 0] = -q[:, 0]
         A = np.eye(3)
         A[1:, 1:] = q
-        rot_pot = FactorPotential(self.spec, config.rotate(A))
+        rotated = Configuration(config.points @ A.T, config.window_radius,
+                                config.intensity, config.d)
+        rot_pot = FactorPotential(self.spec, rotated)
         for _ in range(20):
             r = rng.uniform(0, 4)
             u = rng.standard_normal(2)
@@ -290,42 +292,12 @@ class TestFactorPotential:
         self.assert_cut_matches_dense(config, r, unit_directions(rng, 41))
 
 
-    def test_rotated_blocks_match_rotated_configurations(self):
-        # block b of a stacked batch is bitwise the one-block potential on
-        # config.rotate(rotations[b]), though the blocks reach different radii
-        # and so cut the sorted traps at different places
-        rng = np.random.default_rng(13)
-        config = sample_configuration(2, 8.0, 1.0, rng)
-        uncapped = PotentialSpec(1.0, 1.0, 100.0, 1.0)
-        rotations = [geometry.rotation_to_axis(axis_point(2, 0.0))]
-        for theta in (0.4, 2.0, -2.9):
-            rotations.append(geometry.rotation_to_axis(
-                HPoint(np.array([math.cosh(1.0), math.sinh(1.0) * math.cos(theta),
-                                 math.sinh(1.0) * math.sin(theta)]))))
-        n = 40
-        r = np.concatenate([rng.uniform(0.0, top, n) for top in (0.5, 2.0, 4.0, 6.5)])
-        u = unit_directions(rng, len(r))
-        for spec in (self.spec, uncapped):
-            stacked = FactorPotential(spec, config, rotations)
-            got = stacked.evaluate_polar(r, u).reshape(len(rotations), n)
-            for b, k in enumerate(rotations):
-                alone = FactorPotential(spec, config.rotate(k))
-                block = slice(b * n, (b + 1) * n)
-                assert np.array_equal(got[b], alone.evaluate_polar(r[block], u[block]))
-        # a boost along e_1 moves the trap's radius: not a K-rotation
-        boost = np.eye(3)
-        boost[:2, :2] = [[math.cosh(0.5), math.sinh(0.5)], [math.sinh(0.5), math.cosh(0.5)]]
-        one_trap = Configuration(axis_point(2, 1.0).z[None, :], 8.0, 0.0, 2)
-        with pytest.raises(ValueError, match="fix the origin"):
-            FactorPotential(self.spec, one_trap, [np.eye(3), boost])
-
-    def test_segment_cuts_match_one_block_per_segment(self):
-        # every (stream, block) segment of a lockstep batch is bitwise the
-        # one-block potential on its rotated configuration for that segment
-        # alone; tied trap radii on four circles, sampled traps beyond 1.5,
-        # and segment tops whose cut falls on a circle (top + r0 = 2.5 or 3),
-        # keeps no trap (top 0.3), or keeps about a thousand traps (tops 4.9
-        # and 5: two cuts in one power-of-two bucket)
+    def test_value_is_pointwise(self):
+        # a query's value is bitwise the same in the batch, alone and in a
+        # permuted batch, and matches the dense sum over every trap; tied trap
+        # radii on four circles, sampled traps beyond 1.5, queries whose cut
+        # keeps no trap, falls on a circle (r + r0 = 2.5, 3 or 4), or sits on
+        # either side of a power of two
         rng = np.random.default_rng(14)
         angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
         circle = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -333,33 +305,30 @@ class TestFactorPotential:
         scene = sample_configuration(2, 8.0, 1.0, rng)
         far = scene.points[polar_from_ambient(scene.points)[0] > 1.5]
         config = Configuration(np.vstack([rings, far]), 8.0, 1.0, 2)
-        rotations = [np.eye(3)]
-        for theta in (0.4, 2.0):
-            rotations.append(geometry.rotation_to_axis(
-                HPoint(np.array([math.cosh(1.0), math.sinh(1.0) * math.cos(theta),
-                                 math.sinh(1.0) * math.sin(theta)]))))
-        sizes = [1, 4, 7, 2, 3]
-        r, u = [], []
-        for tops in ([2.0, 0.3, 5.0, 1.5, 4.9], [0.3, 4.9, 1.5, 2.0, 5.0],
-                     [5.0, 2.0, 4.9, 1.5, 0.3]):
-            for top, n in zip(tops, sizes):
-                seg = rng.uniform(0.0, top, n)
-                seg[0] = top
-                r.append(seg)
-                u.append(np.vstack([circle[:1], unit_directions(rng, n - 1)]))
-        r, u = np.concatenate(r), np.vstack(u)
-        ry = np.sort(polar_from_ambient(config.points)[0])
-        cuts = set(np.searchsorted(ry, np.array([0.3, 1.5, 2.0, 4.9, 5.0]) + 1.0).tolist())
-        assert 0 in cuts and len(cuts) == 5
-        assert len({c.bit_length() for c in cuts}) == 4
-        bounds = np.cumsum([0] + sizes)
+        ry, uy = polar_from_ambient(config.points)
+        ry_sorted = np.sort(ry)
+        edges = [c for j in range(3, 13) for c in (2**j - 1, 2**j, 2**j + 1)]
+        edges = [c for c in edges if ry_sorted[c - 1] < ry_sorted[c]]
+        r = np.concatenate([
+            rng.uniform(0.0, 0.5, 20), [1.5, 2.0, 3.0],
+            0.5 * (ry_sorted[np.subtract(edges, 1)] + ry_sorted[edges]) - 1.0,
+            rng.uniform(0.0, 6.5, 200)])
+        u = np.vstack([circle[rng.integers(0, 12, 40)], unit_directions(rng, len(r) - 40)])
+        cuts = np.searchsorted(ry_sorted, r + 1.0)
+        assert np.sum(cuts == 0) >= 20 and set(edges) <= set(cuts.tolist())
+        assert sum(2**j - 1 in edges and 2**j in edges for j in range(3, 13)) >= 8
+        perm = rng.permutation(len(r))
         for spec in (self.spec, PotentialSpec(1.0, 1.0, 100.0, 1.0)):
-            got = FactorPotential(spec, config, rotations).evaluate_polar(r, u, segments=sizes)
-            for b, k in enumerate(rotations):
-                alone = FactorPotential(spec, config.rotate(k))
-                for a, z in zip(bounds[:-1], bounds[1:]):
-                    rows = slice(b * bounds[-1] + a, b * bounds[-1] + z)
-                    assert np.array_equal(got[rows], alone.evaluate_polar(r[rows], u[rows]))
+            pot = FactorPotential(spec, config)
+            batch = pot.evaluate_polar(r, u)
+            alone = np.concatenate([pot.evaluate_polar(r[i:i + 1], u[i:i + 1])
+                                    for i in range(len(r))])
+            assert np.array_equal(batch, alone)
+            assert np.array_equal(batch[perm], pot.evaluate_polar(r[perm], u[perm]))
+            dense = np.minimum(spec.v_max,
+                               spec.profile(polar_distances(r, u, ry, uy)).sum(axis=1))
+            assert np.all(np.abs(batch - dense) <= 1e-12 * dense)
+            assert np.sum(dense > 0.0) > 200
 
 
 class TestPolarDistances:
