@@ -122,8 +122,15 @@ def resolve_config(overrides, cli_seed=None, cli_workers=None):
     for key in ("T", "t_grid", "marginal_time"):
         for t in cfg[key] if key in _LIST_KEYS else [cfg[key]]:
             if not diffusion.on_step_grid(t, cfg["h"]):
-                raise ConfigError(f"{key} value {t:g} is not a whole number of steps "
-                                  f"of h = {cfg['h']:g}")
+                raise ConfigError(f"{key} value {t:g} is not a whole number (>= 0) of "
+                                  f"steps of h = {cfg['h']:g}")
+    # the scene's and the oracle's own bounds
+    for keys, check in ((("a", "r0", "vmax", "kappa"), PotentialSpec),
+                        (("r_max", "m_cells"), spectral.check_grid)):
+        try:
+            check(*(cfg[k] for k in keys))
+        except ValueError as exc:
+            raise ConfigError(", ".join(f"{k} = {cfg[k]:g}" for k in keys) + f": {exc}")
     return cfg
 
 
@@ -260,12 +267,26 @@ def _check_marginal_time(cfg):
                           f"horizon in t_grid, got {cfg['t_grid']}")
 
 
+def walk_origin(cfg, potential, T, probes=(), snapshot_times=()):
+    """Walk o and every probe off o (probes are radii on the e_1 axis) as one
+    fused ensemble to T on the config's seed.  Returns the ensemble from o and
+    the (distance from o, ensemble) pair of each probe; a probe at o reads
+    the ensemble from o itself."""
+    o = geometry.origin(cfg["d"])
+    points = [canonical_axis_point(cfg["d"], r) for r in probes]
+    radii = [geometry.distance(o, x) for x in points]
+    ensembles = feynman_kac.simulate_tilted_ensemble(
+        [o] + [x for x, r in zip(points, radii) if r > 0.0], potential, T, cfg["h"],
+        cfg["n_paths"], cfg["seed"], snapshot_times=snapshot_times, workers=cfg["workers"])
+    moved = iter(ensembles[1:])
+    return ensembles[0], [(r, next(moved) if r > 0.0 else ensembles[0]) for r in radii]
+
+
 def cmd_estimate_rho(cfg, out):
     _check_rho_horizons(cfg)
     spec, config, potential = build_scene(cfg)
-    est = feynman_kac.estimate_rho(geometry.origin(cfg["d"]), potential,
-                                   cfg["t_grid"], cfg["h"], cfg["n_paths"],
-                                   cfg["seed"], workers=cfg["workers"])
+    base, _ = walk_origin(cfg, potential, max(cfg["t_grid"]), snapshot_times=cfg["t_grid"])
+    est = feynman_kac.estimate_rho(base, cfg["t_grid"])
     _write_rho(out, est)
     write_csv(out / "logz.csv", "T,neg_log_z",
               list(zip(est.diagnostics["T_grid"],
@@ -275,10 +296,8 @@ def cmd_estimate_rho(cfg, out):
 
 def cmd_phi_profile(cfg, out):
     spec, config, potential = build_scene(cfg)
-    probes = [canonical_axis_point(cfg["d"], r) for r in cfg["probes"]]
-    table = feynman_kac.estimate_phi_ratio(probes, potential, cfg["T"], cfg["h"],
-                                           cfg["n_paths"], cfg["seed"],
-                                           workers=cfg["workers"])
+    table = feynman_kac.estimate_phi_ratio(*walk_origin(cfg, potential, cfg["T"],
+                                                        cfg["probes"]))
     write_csv(out / "phi_ratio.csv", "r,ratio,stderr", table)
     return {}
 
@@ -286,9 +305,10 @@ def cmd_phi_profile(cfg, out):
 def cmd_q_marginal(cfg, out):
     _check_marginal_time(cfg)
     spec, config, potential = build_scene(cfg)
-    qm = feynman_kac.q_marginal(geometry.origin(cfg["d"]), potential,
-                                cfg["marginal_time"], cfg["t_grid"], cfg["h"],
-                                cfg["n_paths"], cfg["seed"], workers=cfg["workers"])
+    t = cfg["marginal_time"]
+    base, _ = walk_origin(cfg, potential, max(cfg["t_grid"]),
+                          snapshot_times=[t, *cfg["t_grid"]])
+    qm = feynman_kac.q_marginal(base, t, cfg["t_grid"])
     rows = []
     for i, r in enumerate(qm.radii):
         rows.append([float(r)] + [float(qm.weights_by_T[T][i]) for T in sorted(qm.weights_by_T)])
@@ -399,11 +419,13 @@ def _pipeline_core(cfg, out, include_rho):
     h_surv = spectral.survival_harmonic(op)
     write_csv(out / "survival.csv", "r,h", list(zip(op.grid.tolist(), h_surv.tolist())))
 
-    d = cfg["d"]
+    # one walk from o and the probes serves the rate, the ratios and the
+    # Q-marginal
+    T = max(cfg["t_grid"])
+    base, probes = walk_origin(cfg, potential, T, cfg["probes"],
+                               snapshot_times=[*cfg["t_grid"], cfg["marginal_time"]])
     if include_rho:
-        est = feynman_kac.estimate_rho(geometry.origin(d), potential, cfg["t_grid"],
-                                       cfg["h"], cfg["n_paths"], cfg["seed"],
-                                       workers=cfg["workers"])
+        est = feynman_kac.estimate_rho(base, cfg["t_grid"])
         _write_rho(out, est)
         checks["rho_near_zero"] = bool(abs(est.rho_hat) <= cfg["rho_tolerance"])
         checks["rho_in_bound"] = bool(
@@ -412,11 +434,7 @@ def _pipeline_core(cfg, out, include_rho):
 
     # eigenfunction ratios against the finite-horizon survival Z_T at the
     # walk's own horizon; Z_T(r)/Z_T(0) tends to h(r)/h(0) as T grows
-    T = max(cfg["t_grid"])
-    probes = [canonical_axis_point(d, r) for r in cfg["probes"]]
-    table = feynman_kac.estimate_phi_ratio(probes, potential, T, cfg["h"],
-                                           cfg["n_paths"], cfg["seed"],
-                                           workers=cfg["workers"])
+    table = feynman_kac.estimate_phi_ratio(base, probes)
     from scipy.interpolate import PchipInterpolator
 
     z_interp = PchipInterpolator(op.grid, spectral.finite_horizon_survival(op, T))
@@ -432,17 +450,14 @@ def _pipeline_core(cfg, out, include_rho):
     checks["phi_matches_survival"] = bool(ok)
 
     # Q-process marginal vs Doob transform of the survival harmonic
-    qm = feynman_kac.q_marginal(geometry.origin(d), potential, cfg["marginal_time"],
-                                cfg["t_grid"], cfg["h"], cfg["n_paths"], cfg["seed"],
-                                workers=cfg["workers"])
+    qm = feynman_kac.q_marginal(base, cfg["marginal_time"], cfg["t_grid"])
     doob_r = feynman_kac.doob_final_radii(
-        geometry.origin(d), op.grid, h_surv, cfg["marginal_time"], cfg["h"],
+        geometry.origin(cfg["d"]), op.grid, h_surv, cfg["marginal_time"], cfg["h"],
         cfg["n_paths"], cfg["seed"] + 1, workers=cfg["workers"])
-    T_star = max(cfg["t_grid"])
-    dstat, pval = stats.weighted_ks_2samp(qm.radii, qm.weights_by_T[T_star],
+    dstat, pval = stats.weighted_ks_2samp(qm.radii, qm.weights_by_T[T],
                                           doob_r, np.ones(len(doob_r)))
     write_csv(out / "doob_compare.csv", "t,T,ks_statistic,p_value",
-              [(cfg["marginal_time"], T_star, dstat, pval)])
+              [(cfg["marginal_time"], T, dstat, pval)])
     checks["q_matches_doob"] = bool(pval > cfg["ks_threshold"])
     checks["q_stabilized"] = bool(
         not qm.sup_distances or qm.sup_distances[-1] < 4.0 / np.sqrt(cfg["n_paths"]))

@@ -2,7 +2,10 @@
 
 Survival constants Z_T^x, decay-rate extraction, eigenfunction ratios,
 Q-process marginals, a sequential Monte Carlo variant with resampling, and
-terminal radii of the Doob-transformed dynamics.
+terminal radii of the Doob-transformed dynamics.  The decay rate, the ratios
+and the marginals read the PathEnsembles that `simulate_tilted_ensemble`
+returns, so one walk with snapshots serves all three; they form log Z as a
+max-shifted log-mean-exp, which stays finite where exp(-int V) underflows.
 
 Randomness is organized as a fixed fan-out of NUM_STREAMS child streams per
 seed.  An ensemble walks its streams in lockstep: time is the outer loop, and
@@ -20,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hyptrap import diffusion, geometry, spectral
+from hyptrap import diffusion, spectral
 from hyptrap.geometry import HPoint
 from hyptrap.ppp import PotentialField
-from hyptrap.stats import effective_sample_size
+from hyptrap.stats import effective_sample_size, log_mean_exp, weighted_cdf
 
 NUM_STREAMS = 16
 
@@ -58,10 +61,15 @@ class PathEnsemble:
     final_radii: np.ndarray           # geodesic radius of X_T per path
     snapshots: dict                   # step -> (radii, directions, integrals)
     chunk_slices: list                # slices delimiting the independent streams
+    h: float                          # time step of the walk
 
     @property
     def n_paths(self):
         return len(self.log_weights)
+
+    def snapshot(self, t):
+        """(radii, directions, integrals) of the paths at time t."""
+        return self.snapshots[int(round(t / self.h))]
 
     @property
     def weights(self):
@@ -69,7 +77,7 @@ class PathEnsemble:
 
     @property
     def ess(self):
-        return effective_sample_size(self.weights)
+        return effective_sample_size(np.exp(self.log_weights - log_mean_exp(self.log_weights)))
 
 
 @dataclass
@@ -134,7 +142,7 @@ def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     ensembles = [PathEnsemble(log_weights[b], final_radii[b],
                               {k: tuple(a[b] for a in snap) for k, snap in snapshots.items()},
-                              slices)
+                              slices, h)
                  for b in range(blocks)]
     return ensembles[0] if isinstance(x0, HPoint) else ensembles
 
@@ -245,11 +253,6 @@ def smc_estimate_Z(x: HPoint, potential: PotentialField, T, h, N, resample_perio
 # ---------------------------------------------------------------------------
 
 
-def _chunk_log_z(ensemble: PathEnsemble, step):
-    integrals = ensemble.snapshots[step][2]
-    return np.array([np.log(np.mean(np.exp(-integrals[s]))) for s in ensemble.chunk_slices])
-
-
 def _wls_slope(ts, ys, sigmas):
     sig = np.where(np.asarray(sigmas) > 0, sigmas, np.max(sigmas) if np.max(sigmas) > 0 else 1.0)
     w = 1.0 / sig**2
@@ -260,9 +263,9 @@ def _wls_slope(ts, ys, sigmas):
     return float(np.sum(w * (ts - tbar) * (ys - ybar)) / denom)
 
 
-def estimate_rho(x: HPoint, potential: PotentialField, T_grid, h, N, seed,
-                 workers=1) -> GroundStateEstimate:
-    """Decay rate of Z_T by weighted least squares on -log Z_T vs T.
+def estimate_rho(ensemble: PathEnsemble, T_grid) -> GroundStateEstimate:
+    """Decay rate of Z_T by weighted least squares on -log Z_T vs T, read from
+    the ensemble's snapshots at the horizons T_grid.
 
     Slope uncertainty comes from a drop-one-stream jackknife, which respects
     the correlation of the Z_T estimates across horizons (common paths).
@@ -271,30 +274,21 @@ def estimate_rho(x: HPoint, potential: PotentialField, T_grid, h, N, seed,
     T_grid = sorted(T_grid)
     if len(set(T_grid)) < 3:
         raise ValueError("need at least three distinct horizons")
-    ens = simulate_tilted_ensemble(x, potential, max(T_grid), h, N, seed,
-                                   snapshot_times=T_grid, workers=workers)
-    steps = [int(round(t / h)) for t in T_grid]
     ts = np.asarray(T_grid, dtype=float)
-    log_z = np.empty(len(steps))
-    sigmas = np.empty(len(steps))
-    per_chunk = np.empty((len(ens.chunk_slices), len(steps)))
-    for j, k in enumerate(steps):
-        integrals = ens.snapshots[k][2]
-        w = np.exp(-integrals)
-        m, se = _mean_stderr(w)
-        log_z[j] = np.log(m)
-        sigmas[j] = se / m
-        per_chunk[:, j] = _chunk_log_z(ens, k)
+    log_w = [-ensemble.snapshot(t)[2] for t in T_grid]
+    log_z = np.array([log_mean_exp(lw) for lw in log_w])
+    # relative stderr of each Z_T: the stderr of the weights over their mean
+    sigmas = np.array([_mean_stderr(np.exp(lw - lz))[1] for lw, lz in zip(log_w, log_z)])
     rho_hat = _wls_slope(ts, -log_z, sigmas)
-    counts = np.array([s.stop - s.start for s in ens.chunk_slices], dtype=float)
+    per_stream = np.array([[log_mean_exp(lw[s]) for lw in log_w] for s in ensemble.chunk_slices])
+    sizes = np.array([s.stop - s.start for s in ensemble.chunk_slices])
 
     def slope(keep):
-        # recombine the kept chunk means into log Z
-        wts = counts[keep] / counts[keep].sum()
-        zs = np.sum(np.exp(per_chunk[keep]) * wts[:, None], axis=0)
-        return _wls_slope(ts, -np.log(zs), sigmas)
+        # the kept streams' mean weights, pooled into log Z
+        log_z_kept = log_mean_exp(per_stream[keep], weights=sizes[keep])
+        return _wls_slope(ts, -log_z_kept, sigmas)
 
-    rho_se = _jackknife_stderr(len(counts), slope)
+    rho_se = _jackknife_stderr(len(sizes), slope)
     # nested tail windows: slope over T_grid[k:] for each admissible k
     window_slopes = [
         _wls_slope(ts[k:], -log_z[k:], sigmas[k:]) for k in range(len(ts) - 1)
@@ -319,37 +313,29 @@ def canonical_axis_point(d, r):
     return HPoint(z)
 
 
-def estimate_phi_ratio(probes, potential: PotentialField, T, h, N, seed, workers=1):
+def estimate_phi_ratio(base: PathEnsemble, probes):
     """Ratios Z_T^{x_j} / Z_T^o as generalized-eigenfunction ratios.
 
-    The base o and every probe off o are walked as one fused ensemble
-    (`simulate_tilted_ensemble` with one start per block), each block from
-    its probe itself: the blocks share every Gaussian draw (common random
-    numbers), and each is bitwise the `estimate_Z` walk from its probe.  A
-    probe at o is the base block itself: ratio 1, stderr 0.  Each row is
-    (distance of the probe from o, ratio, paired jackknife stderr).
+    `base` is the ensemble from o and `probes` the (distance from o,
+    ensemble) pair of each probe, all walked to T on one seed so that they
+    share every Gaussian draw (common random numbers); a probe at o reads
+    `base` itself: ratio 1, stderr 0.  Each row is (distance of the probe
+    from o, ratio, paired jackknife stderr).
     """
-    if N < 2:
-        raise ValueError("need at least two paths")
-    if not probes:
-        return []
-    o = geometry.origin(probes[0].d)
-    radii = [geometry.distance(o, probe) for probe in probes]
-    starts = [o] + [probe for probe, r in zip(probes, radii) if r > 0.0]
-    ensembles = simulate_tilted_ensemble(starts, potential, T, h, N, seed, workers=workers)
-    z = [float(np.mean(ens.weights)) for ens in ensembles]
-    chunks = [np.array([np.mean(ens.weights[s]) for s in ens.chunk_slices])
-              for ens in ensembles]
-    moved_blocks = iter(range(1, len(starts)))
+
+    def log_z(ens):
+        """log Z_T and the log of each stream's mean weight."""
+        return (log_mean_exp(ens.log_weights),
+                np.array([log_mean_exp(ens.log_weights[s]) for s in ens.chunk_slices]))
+
+    log_z0, chunks0 = log_z(base)
     table = []
-    for r in radii:
-        b = next(moved_blocks) if r > 0.0 else 0
-        ratio = z[b] / z[0]
+    for r, ens in probes:
+        lz, chunks = log_z(ens)
+        ratio = np.exp(lz - log_z0)
         # paired jackknife over the common streams
-        se = _jackknife_stderr(
-            len(chunks[b]), lambda keep: np.mean(chunks[b][keep]) / np.mean(chunks[0][keep]))
-        if ratio <= 0:
-            raise RuntimeError("eigenfunction ratio must be positive")
+        se = _jackknife_stderr(len(chunks), lambda keep: np.exp(
+            log_mean_exp(chunks[keep]) - log_mean_exp(chunks0[keep])))
         table.append((float(r), float(ratio), se))
     return table
 
@@ -369,23 +355,18 @@ class QMarginal:
     sup_distances: list            # between consecutive-horizon weighted CDFs
 
 
-def q_marginal(x: HPoint, potential: PotentialField, t, T_grid, h, N, seed,
-               workers=1) -> QMarginal:
-    """Weighted X_t marginal for each horizon T, with a stabilization record."""
+def q_marginal(ensemble: PathEnsemble, t, T_grid) -> QMarginal:
+    """Weighted X_t marginal for each horizon T, with a stabilization record,
+    read from the ensemble's snapshots at t and at every horizon."""
     T_grid = sorted(T_grid)
     if t >= min(T_grid):
         raise ValueError("marginal time must precede every horizon")
-    ens = simulate_tilted_ensemble(x, potential, max(T_grid), h, N, seed,
-                                   snapshot_times=[t] + list(T_grid), workers=workers)
-    step_t = int(round(t / h))
-    radii = ens.snapshots[step_t][0]
+    radii = ensemble.snapshot(t)[0]
     weights_by_T = {}
     for T in T_grid:
-        integ = ens.snapshots[int(round(T / h))][2]
-        w = np.exp(-integ)
+        log_w = -ensemble.snapshot(T)[2]
+        w = np.exp(log_w - log_mean_exp(log_w))
         weights_by_T[T] = w / w.sum()
-    from hyptrap.stats import weighted_cdf
-
     sup_d = []
     for T1, T2 in zip(T_grid[:-1], T_grid[1:]):
         grid = np.sort(radii)

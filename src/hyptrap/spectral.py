@@ -73,12 +73,17 @@ class RadialSpectrum:
     operator: RadialOperator
 
 
-def build_radial_operator(d, r_max, m, potential) -> RadialOperator:
-    """Assemble the finite-volume tridiagonal form on m cells of (0, r_max]."""
+def check_grid(r_max, m):
+    """The grid bounds of `build_radial_operator`."""
     if m < 50:
         raise ValueError("need at least 50 cells")
     if r_max < 5:
         raise ValueError("need r_max >= 5")
+
+
+def build_radial_operator(d, r_max, m, potential) -> RadialOperator:
+    """Assemble the finite-volume tridiagonal form on m cells of (0, r_max]."""
+    check_grid(r_max, m)
     dr = r_max / m
     grid = (np.arange(m) + 0.5) * dr
     faces = np.arange(m + 1) * dr

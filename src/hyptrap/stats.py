@@ -14,6 +14,19 @@ def effective_sample_size(weights):
     return float(s * s / np.sum(w * w))
 
 
+def log_mean_exp(a, weights=None):
+    """log of the mean of exp(a) over its first axis, weighted by `weights`
+    (one per row) if given.  Shifted by the max, it stays finite where every
+    exp(a) underflows, as the log-weights -int V do once T V passes 745."""
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=0)
+    e = np.exp(a - m)
+    if weights is None:
+        return m + np.log(np.mean(e, axis=0))
+    w = np.asarray(weights, dtype=float) / np.sum(weights)
+    return m + np.log(np.sum(e * w.reshape(-1, *(1,) * (e.ndim - 1)), axis=0))
+
+
 def weighted_cdf(values, weights, query):
     order = np.argsort(values)
     v = np.asarray(values)[order]

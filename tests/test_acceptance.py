@@ -45,7 +45,6 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from hyptrap import cli, diffusion, feynman_kac, fock, geometry, spectral, stats
-from hyptrap.feynman_kac import canonical_axis_point
 from hyptrap.geometry import origin
 from hyptrap.ppp import (
     Configuration,
@@ -80,6 +79,16 @@ def oracle():
     """Radial operator of the planted trap, its box eigenpair and survival harmonic."""
     op = spectral.build_radial_operator(2, 30.0, 3000, trap_radial)
     return op, spectral.solve_ground_state(op), spectral.survival_harmonic(op)
+
+
+@pytest.fixture(scope="module")
+def origin_walk():
+    """Criteria 3-5 read one walk, as full-pipeline does: from o and the
+    probes of criterion 4, 10^4 paths on seed 7 to T = 40, with snapshots
+    at the marginal time 1 and at the horizons of criterion 3."""
+    cfg = {"d": 2, "h": 0.01, "n_paths": 10_000, "seed": 7, "workers": 1}
+    return cli.walk_origin(cfg, planted_trap(), 40.0, (0.5, 1.0, 2.0, 4.0),
+                           snapshot_times=[1.0, 10.0, 20.0, 40.0])
 
 
 def test_criterion_1_free_spectral_bottom():
@@ -117,11 +126,10 @@ def test_criterion_2_radial_drift():
     verdict(2, "radial drift", ok, "; ".join(details))
 
 
-def test_criterion_3_quenched_survival_vs_oracle(oracle):
+def test_criterion_3_quenched_survival_vs_oracle(oracle, origin_walk):
     op, _, _ = oracle
     T_grid = [10.0, 20.0, 40.0]
-    est = feynman_kac.estimate_rho(origin(2), planted_trap(), T_grid,
-                                   0.01, 10_000, 7)
+    est = feynman_kac.estimate_rho(origin_walk[0], T_grid)
     z_oracle = np.array([
         float(PchipInterpolator(op.grid, spectral.finite_horizon_survival(op, T))(1e-9))
         for T in T_grid])
@@ -135,13 +143,11 @@ def test_criterion_3_quenched_survival_vs_oracle(oracle):
             f"finite-T oracle slope={rho_oracle:.4e}, bound check={bounded}")
 
 
-def test_criterion_4_eigenfunction_ratio(oracle):
+def test_criterion_4_eigenfunction_ratio(oracle, origin_walk):
     op, _, h_surv = oracle
     interp = PchipInterpolator(op.grid, h_surv)
     h0 = float(interp(1e-9))
-    probes = [canonical_axis_point(2, r) for r in (0.5, 1.0, 2.0, 4.0)]
-    table = feynman_kac.estimate_phi_ratio(probes, planted_trap(), 40.0, 0.01,
-                                           10_000, 7)
+    table = feynman_kac.estimate_phi_ratio(*origin_walk)
     ok = True
     details = []
     for r, ratio, se in table:
@@ -151,10 +157,9 @@ def test_criterion_4_eigenfunction_ratio(oracle):
     verdict(4, "eigenfunction ratio", ok, "; ".join(details))
 
 
-def test_criterion_5_q_process_mechanism(oracle):
+def test_criterion_5_q_process_mechanism(oracle, origin_walk):
     op, _, h_surv = oracle
-    qm = feynman_kac.q_marginal(origin(2), planted_trap(), 1.0,
-                                [10.0, 20.0, 40.0], 0.01, 10_000, 7)
+    qm = feynman_kac.q_marginal(origin_walk[0], 1.0, [10.0, 20.0, 40.0])
     doob_r = feynman_kac.doob_final_radii(origin(2), op.grid, h_surv,
                                           1.0, 0.01, 10_000, 8)
     _, p = stats.weighted_ks_2samp(qm.radii, qm.weights_by_T[40.0],
@@ -167,11 +172,13 @@ def test_criterion_6_constant_potential_identities():
     c, T = 0.2, 4.0
     z = feynman_kac.estimate_Z(origin(2), ConstantPotential(c), T, 0.01, 1000, 0)
     z_exact = abs(z.z_hat - np.exp(-c * T)) < 1e-12 and z.stderr < 1e-14
-    est = feynman_kac.estimate_rho(origin(2), ConstantPotential(c),
-                                   [2.0, 4.0, 8.0], 0.01, 1000, 0)
+    ens = feynman_kac.simulate_tilted_ensemble(origin(2), ConstantPotential(c), 8.0, 0.01,
+                                               1000, 0, snapshot_times=[2.0, 4.0, 8.0])
+    est = feynman_kac.estimate_rho(ens, [2.0, 4.0, 8.0])
     rho_exact = abs(est.rho_hat - c) < 1e-12
-    qm = feynman_kac.q_marginal(origin(2), ConstantPotential(c), 1.0,
-                                [4.0, 8.0], 0.01, 10_000, 1)
+    ens = feynman_kac.simulate_tilted_ensemble(origin(2), ConstantPotential(c), 8.0, 0.01,
+                                               10_000, 1, snapshot_times=[1.0, 4.0, 8.0])
+    qm = feynman_kac.q_marginal(ens, 1.0, [4.0, 8.0])
     rng = np.random.default_rng(2)
     r0 = np.zeros(10_000)
     u0 = np.tile([1.0, 0.0], (10_000, 1))

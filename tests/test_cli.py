@@ -1,13 +1,15 @@
 """Experiment runner: config parsing, artifacts, manifests, determinism."""
 
 import ast
+import importlib
 import json
+import tomllib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyptrap import cli
+from hyptrap import cli, feynman_kac
 from hyptrap.cli import ConfigError, main, parse_config, resolve_config
 
 FAST = """
@@ -49,7 +51,10 @@ class TestParseConfig:
             resolve_config({"h": 0.5})
 
     @pytest.mark.parametrize("line", ["n_paths = 1", "workers = 0", "T = 2.005",
-                                      "t_grid = 0.5,1.005,2", "marginal_time = 0.255"])
+                                      "t_grid = 0.5,1.005,2", "marginal_time = 0.255",
+                                      "kappa = -0.05", "a = -1", "r0 = 0", "vmax = -0.1",
+                                      "r_max = 4", "m_cells = 49", "t_grid = -1,1,2",
+                                      "marginal_time = -1", "T = -1"])
     def test_resolve_rejects_before_simulating(self, tmp_path, capsys, line):
         path = write_config(tmp_path, FAST + line + "\n")
         out = tmp_path / "out"
@@ -146,6 +151,32 @@ class TestCommands:
         rho = (tmp_path / "full-pipeline" / "rho.csv").read_text()
         assert rho.splitlines()[0] == "rho_hat,rho_stderr,flagged"
         assert rho == (tmp_path / "estimate-rho" / "rho.csv").read_text()
+
+    @pytest.mark.parametrize("cmd", ["full-pipeline", "doob-compare"])
+    def test_pipeline_walks_two_ensembles(self, tmp_path, monkeypatch, cmd):
+        # one fused walk from o and the probes serves the rate, the ratios and
+        # the Q-marginal; the Doob walk is the other
+        calls = []
+        walk = feynman_kac.simulate_tilted_ensemble
+
+        def counting_walk(*args, **kwargs):
+            calls.append(args[0])
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(feynman_kac, "simulate_tilted_ensemble", counting_walk)
+        main([cmd, "--config", write_config(tmp_path), "--out", str(tmp_path / cmd)])
+        assert len(calls) == 2
+
+    def test_full_pipeline_ratios_are_the_phi_profile_table(self, tmp_path):
+        # FAST has T = max(t_grid), the horizon full-pipeline walks the probes to
+        path = write_config(tmp_path)
+        for cmd in ("phi-profile", "full-pipeline"):
+            main([cmd, "--config", path, "--out", str(tmp_path / cmd)])
+        rows = {cmd: [line.split(",")[:3] for line in
+                      (tmp_path / cmd / "phi_ratio.csv").read_text().splitlines()]
+                for cmd in ("phi-profile", "full-pipeline")}
+        assert rows["phi-profile"][0] == ["r", "ratio", "stderr"]
+        assert rows["full-pipeline"] == rows["phi-profile"]
 
     def test_born_and_contour_checks(self, tmp_path):
         path = write_config(tmp_path, FAST + "born_kmax = 40\n")
@@ -249,6 +280,14 @@ class TestBuildScene:
         cfg = resolve_config({"kappa": 1.0, "window_radius": 40.0})
         with pytest.raises(ConfigError, match="mean count"):
             cli.build_scene(cfg)
+
+
+def test_console_script_is_main():
+    # pyproject's [project.scripts] entry point names the CLI's main
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["hyptrap"]
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_every_config_key_is_read():

@@ -111,35 +111,43 @@ class TestSmcEstimateZ:
         assert runs[0].z_hat == runs[1].z_hat
 
 
+def walk_o(potential, T_grid, N, seed, extra_snapshots=()):
+    """The ensemble from o to max(T_grid), h = 0.01, with snapshots at
+    T_grid and extra_snapshots."""
+    return simulate_tilted_ensemble(origin(2), potential, max(T_grid), 0.01, N, seed,
+                                    snapshot_times=list(T_grid) + list(extra_snapshots))
+
+
 class TestEstimateRho:
     def test_needs_three_horizons(self):
+        ens = walk_o(ConstantPotential(0.1), [1.0, 2.0], 64, 0)
         with pytest.raises(ValueError):
-            estimate_rho(origin(2), ConstantPotential(0.1), [1.0, 2.0], 0.01, 64, 0)
+            estimate_rho(ens, [1.0, 2.0])
 
     def test_constant_potential(self):
         c = 0.2
-        est = estimate_rho(origin(2), ConstantPotential(c), [2.0, 4.0, 8.0],
-                           0.01, 64, 0)
+        est = estimate_rho(walk_o(ConstantPotential(c), [2.0, 4.0, 8.0], 64, 0),
+                           [2.0, 4.0, 8.0])
         assert abs(est.rho_hat - c) < 1e-12
         assert not est.diagnostics["flagged"]
 
     def test_free_motion_zero_rate(self):
-        est = estimate_rho(origin(2), ConstantPotential(0.0), [2.0, 4.0, 8.0],
-                           0.01, 64, 0)
+        est = estimate_rho(walk_o(ConstantPotential(0.0), [2.0, 4.0, 8.0], 64, 0),
+                           [2.0, 4.0, 8.0])
         assert abs(est.rho_hat) < 1e-14
 
     def test_midrange_shift_exact(self):
         # V and V - c with common random numbers: slopes differ by exactly c
         pot = planted_trap()
         c = 0.05
-        e1 = estimate_rho(origin(2), pot, [2.0, 4.0, 8.0], 0.01, 400, 6)
-        e2 = estimate_rho(origin(2), ShiftedPotential(pot, c), [2.0, 4.0, 8.0],
-                          0.01, 400, 6)
+        e1 = estimate_rho(walk_o(pot, [2.0, 4.0, 8.0], 400, 6), [2.0, 4.0, 8.0])
+        e2 = estimate_rho(walk_o(ShiftedPotential(pot, c), [2.0, 4.0, 8.0], 400, 6),
+                          [2.0, 4.0, 8.0])
         assert abs(e1.rho_hat - e2.rho_hat - c) < 1e-10
 
     def test_diagnostics_recorded(self):
         pot = planted_trap()
-        est = estimate_rho(origin(2), pot, [2.0, 4.0, 8.0], 0.01, 400, 7)
+        est = estimate_rho(walk_o(pot, [2.0, 4.0, 8.0], 400, 7), [2.0, 4.0, 8.0])
         assert len(est.diagnostics["window_slopes"]) == 2
         assert est.rho_stderr >= 0.0
         # the recorded per-horizon sigmas are the weights of the slope fit
@@ -150,30 +158,32 @@ class TestEstimateRho:
         assert refit == est.rho_hat
 
 
-def separate_walks_table(probes, potential, T, h, N, seed):
-    """Reference: one estimate_Z from o and one from each probe."""
+def walk_probes(probes, potential, T, h, N, seed):
+    """The ensemble from o and the (distance, ensemble) pair of each probe,
+    walked as one fused ensemble; a probe at o reads the ensemble from o."""
     o = origin(probes[0].d)
-    base = estimate_Z(o, potential, T, h, N, seed)
-    base_chunks = np.array([np.mean(base.ensemble.weights[s])
-                            for s in base.ensemble.chunk_slices])
-    table = []
-    for probe in probes:
-        est = estimate_Z(probe, potential, T, h, N, seed)
-        chunks = np.array([np.mean(est.ensemble.weights[s])
-                           for s in est.ensemble.chunk_slices])
-        n_c = len(chunks)
-        jack = np.array([np.mean(np.delete(chunks, c)) / np.mean(np.delete(base_chunks, c))
-                         for c in range(n_c)])
-        se = float(np.sqrt((n_c - 1) / n_c * np.sum((jack - jack.mean()) ** 2)))
-        table.append((geometry.distance(o, probe), float(est.z_hat / base.z_hat), se))
-    return table
+    radii = [geometry.distance(o, probe) for probe in probes]
+    base, *moved = simulate_tilted_ensemble(
+        [o] + [probe for probe, r in zip(probes, radii) if r > 0.0], potential, T, h, N, seed)
+    moved = iter(moved)
+    return base, [(r, next(moved) if r > 0.0 else base) for r in radii]
+
+
+def separate_walks_table(probes, potential, T, h, N, seed):
+    """Reference: the table read from one estimate_Z walk from o and one from
+    each probe."""
+    o = origin(probes[0].d)
+    base = estimate_Z(o, potential, T, h, N, seed).ensemble
+    return estimate_phi_ratio(base, [(geometry.distance(o, probe),
+                                      estimate_Z(probe, potential, T, h, N, seed).ensemble)
+                                     for probe in probes])
 
 
 class TestEstimatePhiRatio:
     def test_fused_walk_equals_separate_walks(self):
         d = 2
         probes = [canonical_axis_point(d, r) for r in (0.0, 0.5, 1.0, 2.0, 4.0)]
-        fused = estimate_phi_ratio(probes, planted_trap(d), 1.0, 0.01, 64, 10)
+        fused = estimate_phi_ratio(*walk_probes(probes, planted_trap(d), 1.0, 0.01, 64, 10))
         assert fused == separate_walks_table(probes, planted_trap(d), 1.0, 0.01, 64, 10)
         assert fused[0] == (0.0, 1.0, 0.0)
         # a sampled kappa 0.05 scene, probes off the e_1 axis; the uncapped
@@ -188,7 +198,7 @@ class TestEstimatePhiRatio:
                                                     canonical_axis_point(d, r)))
         for spec in (SPEC, PotentialSpec(1.0, 1.0, 10.0, 1.0)):
             pot = FactorPotential(spec, scene)
-            fused = estimate_phi_ratio(off_axis, pot, 1.0, 0.01, 100, 3)
+            fused = estimate_phi_ratio(*walk_probes(off_axis, pot, 1.0, 0.01, 100, 3))
             assert fused == separate_walks_table(off_axis, pot, 1.0, 0.01, 100, 3)
 
     def test_constant_potential_unit_ratios(self):
@@ -196,29 +206,30 @@ class TestEstimatePhiRatio:
         config = Configuration(np.empty((0, d + 1)), 60.0, 0.0, d)
         spec = PotentialSpec(1.0, 1.0, 0.0, 1.0)  # capped at zero: V = 0
         probes = [canonical_axis_point(d, r) for r in (0.5, 1.0)]
-        table = estimate_phi_ratio(probes, FactorPotential(spec, config), 2.0, 0.01, 64, 0)
+        table = estimate_phi_ratio(*walk_probes(probes, FactorPotential(spec, config),
+                                                2.0, 0.01, 64, 0))
         for _, ratio, _ in table:
             assert abs(ratio - 1.0) < 1e-12
 
     def test_positive_ratios(self):
         d = 2
         probes = [canonical_axis_point(d, r) for r in (0.5, 1.0, 2.0)]
-        table = estimate_phi_ratio(probes, planted_trap(d), 5.0, 0.01, 300, 10)
+        table = estimate_phi_ratio(*walk_probes(probes, planted_trap(d), 5.0, 0.01, 300, 10))
         for _, ratio, _ in table:
             assert ratio > 0
 
 
 class TestQMarginal:
     def test_marginal_time_must_precede_horizons(self):
+        ens = walk_o(ConstantPotential(0.1), [2.0, 4.0], 64, 0)
         with pytest.raises(ValueError):
-            q_marginal(origin(2), ConstantPotential(0.1), 5.0, [2.0, 4.0],
-                       0.01, 64, 0)
+            q_marginal(ens, 5.0, [2.0, 4.0])
 
     def test_constant_weights_match_free_bm(self):
         # constant V: weights cancel, the marginal is the free BM marginal
         c, t = 0.3, 1.0
-        qm = q_marginal(origin(2), ConstantPotential(c), t, [4.0, 8.0],
-                        0.01, 4000, 11)
+        qm = q_marginal(walk_o(ConstantPotential(c), [4.0, 8.0], 4000, 11, [t]),
+                        t, [4.0, 8.0])
         rng = np.random.default_rng(99)
         r0 = np.zeros(4000)
         u0 = np.tile([1.0, 0.0], (4000, 1))
@@ -232,7 +243,7 @@ class TestQMarginal:
     def test_mass_shifts_away_from_trap(self):
         pot = planted_trap()
         t = 1.0
-        qm = q_marginal(origin(2), pot, t, [10.0, 20.0], 0.01, 4000, 12)
+        qm = q_marginal(walk_o(pot, [10.0, 20.0], 4000, 12, [t]), t, [10.0, 20.0])
         w = qm.weights_by_T[20.0]
         tilted_mean = float(np.sum(w * qm.radii))
         free_mean = float(np.mean(qm.radii))
@@ -243,16 +254,79 @@ class TestQMarginal:
 
     def test_stabilization_diagnostic(self):
         pot = planted_trap()
-        qm = q_marginal(origin(2), pot, 1.0, [10.0, 20.0, 40.0], 0.01, 2000, 13)
+        qm = q_marginal(walk_o(pot, [10.0, 20.0, 40.0], 2000, 13, [1.0]),
+                        1.0, [10.0, 20.0, 40.0])
         assert len(qm.sup_distances) == 2
         assert qm.sup_distances[-1] < 4.0 / np.sqrt(2000)
 
     def test_weights_normalized(self):
         pot = planted_trap()
-        qm = q_marginal(origin(2), pot, 0.5, [4.0, 8.0], 0.01, 500, 14)
+        qm = q_marginal(walk_o(pot, [4.0, 8.0], 500, 14, [0.5]), 0.5, [4.0, 8.0])
         for w in qm.weights_by_T.values():
             assert abs(w.sum() - 1.0) < 1e-12
             assert np.all(np.isfinite(w))
+
+
+class TestLogSpaceWeights:
+    """exp(-T V) underflows once T V passes about 745; the readers work with
+    max-shifted log-weights and stay finite."""
+
+    def test_rho_of_a_deep_constant_potential(self):
+        est = estimate_rho(walk_o(ConstantPotential(400.0), [1.0, 2.0, 3.0], 64, 0),
+                           [1.0, 2.0, 3.0])
+        assert abs(est.rho_hat - 400.0) < 1e-9
+        assert np.all(np.isfinite(est.diagnostics["log_z"]))
+        assert est.diagnostics["log_z"][-1] == pytest.approx(-1200.0, rel=1e-12)
+
+    def test_unit_ratios_of_a_deep_constant_potential(self):
+        probes = [canonical_axis_point(2, r) for r in (0.0, 0.5, 1.0)]
+        table = estimate_phi_ratio(*walk_probes(probes, ConstantPotential(800.0),
+                                                1.0, 0.01, 64, 0))
+        for _, ratio, _ in table:
+            assert abs(ratio - 1.0) < 1e-12
+
+    def test_q_marginal_weights_of_a_deep_constant_potential(self):
+        qm = q_marginal(walk_o(ConstantPotential(400.0), [2.0, 4.0], 64, 0, [1.0]),
+                        1.0, [2.0, 4.0])
+        for w in qm.weights_by_T.values():
+            assert np.all(np.isfinite(w))
+            assert abs(w.sum() - 1.0) < 1e-12
+        assert qm.sup_distances == [0.0]
+
+    def test_ess_of_underflowed_weights(self):
+        est = estimate_Z(origin(2), ConstantPotential(800.0), 1.0, 0.01, 64, 0)
+        assert est.z_hat == 0.0  # exp(-800) itself underflows
+        assert est.ensemble.ess == pytest.approx(64.0, rel=1e-12)
+
+    def test_agrees_with_linear_weights_where_none_underflow(self):
+        # the planted trap keeps T V <= 0.8: the shifted readers move only
+        # the last bits of the plain exp(-int V) formulas
+        pot = planted_trap()
+        T_grid = [2.0, 4.0, 8.0]
+        ens = walk_o(pot, T_grid, 400, 7, [1.0])
+        est = estimate_rho(ens, T_grid)
+        for t, lz, sig in zip(T_grid, est.diagnostics["log_z"], est.diagnostics["sigmas"]):
+            w = np.exp(-ens.snapshot(t)[2])
+            assert lz == pytest.approx(np.log(np.mean(w)), rel=1e-12)
+            assert sig == pytest.approx(np.std(w, ddof=1) / np.sqrt(len(w)) / np.mean(w),
+                                        rel=1e-12)
+        qm = q_marginal(ens, 1.0, T_grid)
+        for t in T_grid:
+            w = np.exp(-ens.snapshot(t)[2])
+            np.testing.assert_allclose(qm.weights_by_T[t], w / w.sum(), rtol=1e-12)
+        assert ens.ess == pytest.approx(stats.effective_sample_size(ens.weights), rel=1e-12)
+        probes = [canonical_axis_point(2, r) for r in (0.5, 2.0)]
+        base, moved = walk_probes(probes, pot, 2.0, 0.01, 400, 7)
+        chunks0 = np.array([np.mean(base.weights[s]) for s in base.chunk_slices])
+        for (r, ens), (_, ratio, se) in zip(moved, estimate_phi_ratio(base, moved)):
+            chunks = np.array([np.mean(ens.weights[s]) for s in ens.chunk_slices])
+            n_c = len(chunks)
+            jack = np.array([np.mean(np.delete(chunks, c)) / np.mean(np.delete(chunks0, c))
+                             for c in range(n_c)])
+            assert ratio == pytest.approx(np.mean(ens.weights) / np.mean(base.weights),
+                                          rel=1e-12)
+            assert se == pytest.approx(
+                np.sqrt((n_c - 1) / n_c * np.sum((jack - jack.mean()) ** 2)), rel=1e-12)
 
 
 class TestDoobSimulate:

@@ -14,9 +14,10 @@ trap is.
 """
 
 import numpy as np
+import pytest
 from scipy.interpolate import PchipInterpolator
 
-from hyptrap import feynman_kac, spectral, stats
+from hyptrap import cli, feynman_kac, spectral, stats
 from hyptrap.feynman_kac import canonical_axis_point
 from hyptrap.geometry import origin
 from hyptrap.ppp import Configuration, FactorPotential, PotentialSpec
@@ -36,6 +37,16 @@ def trap_radial(r):
     return np.minimum(SPEC.v_max, SPEC.profile(r))
 
 
+@pytest.fixture(scope="module")
+def origin_walk():
+    """The rate, the ratios and the time-1 marginal read one walk, as
+    full-pipeline does: from o and the probes 0.5, 1, 2, 4, 4000 paths on
+    seed 7 to T = 40, with snapshots at t = 1 and at T_GRID."""
+    cfg = {"d": D, "h": H, "n_paths": 4000, "seed": 7, "workers": 1}
+    return cli.walk_origin(cfg, planted_trap(), 40.0, (0.5, 1.0, 2.0, 4.0),
+                           snapshot_times=[1.0] + T_GRID)
+
+
 def survival_oracle():
     op = spectral.build_radial_operator(D, 30.0, 3000, trap_radial)
     h = spectral.survival_harmonic(op)
@@ -43,11 +54,10 @@ def survival_oracle():
 
 
 class TestEscapeMakesRateZero:
-    def test_decay_rate_near_zero(self):
+    def test_decay_rate_near_zero(self, origin_walk):
         # the MC slope of -log Z_T settles at the tiny residual decay left
         # after escape, far below any bound-state scale
-        est = feynman_kac.estimate_rho(origin(D), planted_trap(), T_GRID, H,
-                                       4000, 7)
+        est = feynman_kac.estimate_rho(origin_walk[0], T_GRID)
         assert abs(est.rho_hat) < 2e-3
         assert 0.0 <= est.rho_hat <= SPEC.v_max
 
@@ -72,23 +82,20 @@ class TestSurvivalHarmonic:
             target = float(h_interp(max(r, 1e-9)))
             assert abs(est.z_hat - target) < 4 * est.stderr + 2e-3, (r, est.z_hat, target)
 
-    def test_eigenfunction_ratios_match(self):
+    def test_eigenfunction_ratios_match(self, origin_walk):
         op, h = survival_oracle()
         h_interp = PchipInterpolator(op.grid, h)
         h0 = float(h_interp(1e-9))
-        probes = [canonical_axis_point(D, r) for r in (0.5, 1.0, 2.0, 4.0)]
-        table = feynman_kac.estimate_phi_ratio(probes, planted_trap(), 40.0, H,
-                                               4000, 7)
+        table = feynman_kac.estimate_phi_ratio(*origin_walk)
         for r, ratio, se in table:
             target = float(h_interp(r)) / h0
             assert abs(ratio - target) < 4 * se + 1e-3, (r, ratio, target)
 
 
 class TestQProcessIsDoobOfSurvivalHarmonic:
-    def test_time_one_marginal(self):
+    def test_time_one_marginal(self, origin_walk):
         op, h = survival_oracle()
-        qm = feynman_kac.q_marginal(origin(D), planted_trap(), 1.0, T_GRID, H,
-                                    4000, 7)
+        qm = feynman_kac.q_marginal(origin_walk[0], 1.0, T_GRID)
         doob_r = feynman_kac.doob_final_radii(origin(D), op.grid, h, 1.0, H,
                                               4000, 8)
         _, p = stats.weighted_ks_2samp(qm.radii, qm.weights_by_T[40.0],
@@ -96,8 +103,9 @@ class TestQProcessIsDoobOfSurvivalHarmonic:
         assert p > 0.01
 
     def test_marginal_stabilizes_in_horizon(self):
-        qm = feynman_kac.q_marginal(origin(D), planted_trap(), 1.0, T_GRID, H,
-                                    4000, 9)
+        ens = feynman_kac.simulate_tilted_ensemble(origin(D), planted_trap(), 40.0, H,
+                                                   4000, 9, snapshot_times=[1.0] + T_GRID)
+        qm = feynman_kac.q_marginal(ens, 1.0, T_GRID)
         assert qm.sup_distances[-1] < 4.0 / np.sqrt(4000)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hyptrap.stats import (
     chisquare_poisson,
     effective_sample_size,
+    log_mean_exp,
     weighted_cdf,
     weighted_ks_2samp,
 )
@@ -23,6 +24,22 @@ class TestEffectiveSampleSize:
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             effective_sample_size(np.zeros(5))
+
+
+class TestLogMeanExp:
+    def test_matches_plain_formula(self):
+        a = np.log([0.5, 1.0, 2.0])
+        assert log_mean_exp(a) == pytest.approx(np.log(3.5 / 3), rel=1e-15)
+
+    def test_finite_where_exp_underflows(self):
+        assert log_mean_exp([-1000.0, -1000.0 + np.log(3.0)]) == pytest.approx(
+            -1000.0 + np.log(2.0), rel=1e-15)
+
+    def test_weighted_rows(self):
+        # per column, log((1 * e^a_0 + 3 * e^a_1) / 4)
+        a = np.array([[-900.0, 0.0], [-900.0 + np.log(5.0), np.log(2.0)]])
+        out = log_mean_exp(a, weights=[1, 3])
+        assert out == pytest.approx([-900.0 + np.log(4.0), np.log(7.0 / 4.0)], rel=1e-15)
 
 
 class TestWeightedCdf:
