@@ -25,23 +25,9 @@ from hyptrap.ppp import (
     FactorPotential,
     PotentialSpec,
     ball_volume,
+    check_intensity,
     sample_configuration,
     theorem_regime_bound,
-)
-
-COMMANDS = (
-    "sample-ppp",
-    "simulate-bm",
-    "estimate-z",
-    "estimate-rho",
-    "phi-profile",
-    "q-marginal",
-    "doob-compare",
-    "radial-oracle",
-    "born-check",
-    "contour-check",
-    "fock-check",
-    "full-pipeline",
 )
 
 DEFAULTS = {
@@ -74,17 +60,14 @@ DEFAULTS = {
     "ratio_sigma": 4.0,
 }
 
-_LIST_KEYS = {"planted", "t_grid", "probes", "fock_volumes"}
-_INT_KEYS = {"d", "n_paths", "m_cells", "n_quad", "born_kmax", "fock_samples",
-             "n_max", "seed", "workers", "dump_paths"}
-
 
 class ConfigError(ValueError):
     pass
 
 
 def parse_config(path):
-    """Flat key=value file; '#' starts a comment; lists are comma separated."""
+    """Flat key=value file; '#' starts a comment; lists are comma separated.
+    Each value takes the type of its key's default."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -95,12 +78,10 @@ def parse_config(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in _LIST_KEYS:
+        if isinstance(DEFAULTS[key], list):
             out[key] = [float(v) for v in value.split(",") if v.strip()]
-        elif key in _INT_KEYS:
-            out[key] = int(value)
         else:
-            out[key] = float(value)
+            out[key] = type(DEFAULTS[key])(value)
     return out
 
 
@@ -119,13 +100,16 @@ def resolve_config(overrides, cli_seed=None, cli_workers=None):
         raise ConfigError("n_paths must be >= 2")
     if cfg["workers"] < 1:
         raise ConfigError("workers must be >= 1")
+    if min(cfg["probes"], default=0.0) < 0:
+        raise ConfigError(f"probes are radii and must be >= 0, got {cfg['probes']}")
     for key in ("T", "t_grid", "marginal_time"):
-        for t in cfg[key] if key in _LIST_KEYS else [cfg[key]]:
+        for t in cfg[key] if isinstance(DEFAULTS[key], list) else [cfg[key]]:
             if not diffusion.on_step_grid(t, cfg["h"]):
                 raise ConfigError(f"{key} value {t:g} is not a whole number (>= 0) of "
                                   f"steps of h = {cfg['h']:g}")
     # the scene's and the oracle's own bounds
-    for keys, check in ((("a", "r0", "vmax", "kappa"), PotentialSpec),
+    for keys, check in ((("a", "r0", "vmax"), PotentialSpec),
+                        (("kappa",), check_intensity),
                         (("r_max", "m_cells"), spectral.check_grid)):
         try:
             check(*(cfg[k] for k in keys))
@@ -161,13 +145,13 @@ def build_scene(cfg, rng=None):
         if len(sampled):
             pts = np.vstack([pts, sampled.points]) if len(pts) else sampled.points
     config = Configuration(pts, window, cfg["kappa"], d)
-    spec = PotentialSpec(cfg["a"], cfg["r0"], cfg["vmax"], max(cfg["kappa"], 1e-12))
+    spec = PotentialSpec(cfg["a"], cfg["r0"], cfg["vmax"])
     return spec, config, FactorPotential(spec, config)
 
 
 def trap_radial_potential(cfg):
     """The radial profile of the planted-trap potential (single trap at o)."""
-    spec = PotentialSpec(cfg["a"], cfg["r0"], cfg["vmax"], 1.0)
+    spec = PotentialSpec(cfg["a"], cfg["r0"], cfg["vmax"])
 
     def V(r):
         return np.minimum(spec.v_max, spec.profile(r))
@@ -270,16 +254,15 @@ def _check_marginal_time(cfg):
 def walk_origin(cfg, potential, T, probes=(), snapshot_times=()):
     """Walk o and every probe off o (probes are radii on the e_1 axis) as one
     fused ensemble to T on the config's seed.  Returns the ensemble from o and
-    the (distance from o, ensemble) pair of each probe; a probe at o reads
-    the ensemble from o itself."""
+    the (radius, ensemble) pair of each probe; a probe at o reads the ensemble
+    from o itself."""
     o = geometry.origin(cfg["d"])
-    points = [canonical_axis_point(cfg["d"], r) for r in probes]
-    radii = [geometry.distance(o, x) for x in points]
     ensembles = feynman_kac.simulate_tilted_ensemble(
-        [o] + [x for x, r in zip(points, radii) if r > 0.0], potential, T, cfg["h"],
-        cfg["n_paths"], cfg["seed"], snapshot_times=snapshot_times, workers=cfg["workers"])
+        [o] + [canonical_axis_point(cfg["d"], r) for r in probes if r > 0.0], potential, T,
+        cfg["h"], cfg["n_paths"], cfg["seed"], snapshot_times=snapshot_times,
+        workers=cfg["workers"])
     moved = iter(ensembles[1:])
-    return ensembles[0], [(r, next(moved) if r > 0.0 else ensembles[0]) for r in radii]
+    return ensembles[0], [(r, next(moved) if r > 0.0 else ensembles[0]) for r in probes]
 
 
 def cmd_estimate_rho(cfg, out):
@@ -492,7 +475,7 @@ def main(argv=None):
         prog="hyptrap",
         description="Brownian motion among Poissonian soft traps on H^d",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--config", type=str, default=None, help="flat key=value file")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     parser.add_argument("--workers", type=int, default=None)

@@ -27,7 +27,6 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
 from hyptrap import geometry
-from hyptrap.geometry import HPoint
 
 #: caps V_max below (d-1)^2/8 are inside the regime of the existence theorem
 def theorem_regime_bound(d):
@@ -55,6 +54,12 @@ def ball_volume(d, R):
     return sphere_area(d) * val
 
 
+def check_intensity(kappa):
+    """The PPP intensity bound, which every `Configuration` obeys."""
+    if kappa < 0:
+        raise ValueError("intensity must be nonnegative")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A finite PPP realization in the ball of radius window_radius about o."""
@@ -69,8 +74,7 @@ class Configuration:
         object.__setattr__(self, "points", pts)
         if self.window_radius <= 0:
             raise ValueError("window_radius must be positive")
-        if self.intensity < 0:
-            raise ValueError("intensity must be nonnegative")
+        check_intensity(self.intensity)
         if len(pts):
             r = geometry.radius_batch(pts)
             if np.any(r > self.window_radius + 1e-9):
@@ -78,10 +82,6 @@ class Configuration:
 
     def __len__(self):
         return self.points.shape[0]
-
-    def add_point(self, x: HPoint) -> "Configuration":
-        pts = np.vstack([self.points, x.z[None, :]]) if len(self) else x.z[None, :]
-        return Configuration(pts, self.window_radius, self.intensity, self.d)
 
     def to_json(self):
         return json.dumps(
@@ -93,20 +93,10 @@ class Configuration:
             }
         )
 
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(
-            np.asarray(obj["points"], dtype=float).reshape(-1, obj["d"] + 1),
-            obj["window_radius"],
-            obj["intensity"],
-            obj["d"],
-        )
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Seed profile, cap and intensity defining a factor-of-PPP potential.
+    """Seed profile and cap defining a factor-of-PPP potential.
 
     The default profile is the C^1 bump eta(r) = a (1 - (r/r_0)^2)^2 for
     r < r_0 and zero beyond, so the dependence zone of the potential at x is
@@ -116,13 +106,12 @@ class PotentialSpec:
     amplitude: float
     support_radius: float
     v_max: float
-    intensity: float
 
     def __post_init__(self):
         if self.amplitude < 0 or self.support_radius <= 0:
             raise ValueError("profile must be nonnegative with positive support")
-        if self.v_max < 0 or self.intensity < 0:
-            raise ValueError("v_max and intensity must be nonnegative")
+        if self.v_max < 0:
+            raise ValueError("v_max must be nonnegative")
 
     def profile(self, r):
         """Seed eta(r): continuous, non-increasing, zero for r >= r_0."""
@@ -152,8 +141,6 @@ def sample_configuration(d, R, kappa, rng) -> Configuration:
     """
     if R <= 0:
         raise ValueError("window radius must be positive")
-    if kappa < 0:
-        raise ValueError("intensity must be nonnegative")
     mean = kappa * ball_volume(d, R)
     n = int(rng.poisson(mean)) if mean > 0 else 0
     if n == 0:
@@ -187,11 +174,9 @@ def polar_distances(r, u, ry, uy):
 
 
 class PotentialField:
-    """Common interface for potentials evaluated along batched positions.
-
-    `evaluate_polar` (radii + unit directions in T_o H^d) is what the path
-    samplers call; `evaluate` accepts ambient hyperboloid rows.
-    """
+    """Common interface for potentials evaluated along batched positions:
+    the path samplers call `evaluate_polar` with radii and unit directions in
+    T_o H^d."""
 
     v_max: float
 
@@ -199,14 +184,6 @@ class PotentialField:
         """V at each query: a function of that query alone, bitwise the same
         whatever batch it is evaluated in."""
         raise NotImplementedError
-
-    def evaluate(self, X):
-        from hyptrap.diffusion import polar_from_ambient
-
-        return self.evaluate_polar(*polar_from_ambient(X))
-
-    def __call__(self, x: HPoint) -> float:
-        return float(self.evaluate(x.z[None, :])[0])
 
 
 class FactorPotential(PotentialField):
@@ -279,10 +256,6 @@ class FactorPotential(PotentialField):
         self.check_window(float(np.max(r, initial=0.0)))
         return np.minimum(self.spec.v_max, self._near_sum(r, u))
 
-    def uncapped_polar(self, r, u):
-        """The raw sum without the V_max cap (monotone in the configuration)."""
-        return self._near_sum(r, u)
-
 
 class ConstantPotential(PotentialField):
     """V identically equal to c; the exactly solvable reference case."""
@@ -293,16 +266,3 @@ class ConstantPotential(PotentialField):
 
     def evaluate_polar(self, r, u):
         return np.full(len(np.asarray(r)), self.c)
-
-
-class ShiftedPotential(PotentialField):
-    """V - c for an existing field; used by the midrange-reduction checks."""
-
-    def __init__(self, base: PotentialField, c):
-        self.base = base
-        self.c = float(c)
-        self.v_max = base.v_max - min(self.c, 0.0)
-
-    def evaluate_polar(self, r, u):
-        return self.base.evaluate_polar(r, u) - self.c
-

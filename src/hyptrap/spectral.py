@@ -54,13 +54,6 @@ class RadialOperator:
     def weighted_norm(self, f):
         return np.sqrt(max(0.0, self.weighted_dot(f, f)))
 
-    def shifted(self, c):
-        """The operator with potential V + c (spectrum shifts by exactly c)."""
-        return RadialOperator(
-            self.d, self.r_max, self.m, self.grid, self.dr, self.weights,
-            self.face_weights, self.potential + c, self.diag + c, self.offdiag,
-        )
-
 
 @dataclass(frozen=True)
 class RadialSpectrum:
@@ -240,10 +233,12 @@ def finite_horizon_survival(op: RadialOperator, T):
     u = Z_T - h solves the heat equation du/dT = -H u with u(0) = 1 - h, so
     the survival weight relaxes from 1 to the survival harmonic h.  e^{-TH}
     acts by full eigensolve in the symmetric similarity form: with
-    s = sqrt(weights), e^{-TH} f = s^{-1} U e^{-T Lambda} U^t (s f).
+    s = sqrt(weights), e^{-TH} f = s^{-1} U e^{-T Lambda} U^t (s f).  The
+    eigensolve uses LAPACK's MRRR driver (stemr): the default divide and
+    conquer merges with threaded BLAS, so its bits depend on the thread count.
     """
     h = survival_harmonic(op)
-    vals, vecs = eigh_tridiagonal(op.diag, op.offdiag)
+    vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, lapack_driver="stemr")
     s = np.sqrt(op.weights)
     coeffs = vecs.T @ (s * (1.0 - h))
     return h + (vecs @ (np.exp(-T * vals) * coeffs)) / s
@@ -281,12 +276,3 @@ def eigenpair_to_csv(spec: RadialSpectrum, path):
         fh.write("r,phi\n")
         for r, p in zip(spec.grid, spec.phi):
             fh.write(f"{float(r)!r},{float(p)!r}\n")
-
-
-def eigenpair_from_csv(path):
-    with open(path) as fh:
-        header = fh.readline()
-        meta = dict(kv.split("=") for kv in header.lstrip("# ").split())
-        fh.readline()
-        data = np.loadtxt(fh, delimiter=",")
-    return float(meta["rho"]), data[:, 0], data[:, 1]

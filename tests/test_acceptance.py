@@ -55,7 +55,7 @@ from hyptrap.ppp import (
     sample_configuration,
 )
 
-SPEC = PotentialSpec(1.0, 1.0, 0.1, 1.0)
+SPEC = PotentialSpec(1.0, 1.0, 0.1)
 
 
 def verdict(num, name, ok, detail):
@@ -242,7 +242,7 @@ def test_criterion_9_ppp_law():
         r = geometry.radius_batch(config.points)
         inner[i] = np.sum(r < 1.0)
         outer[i] = np.sum(r >= 1.0)
-    _, p = stats.chisquare_poisson(counts, mean)
+    _, p = conftest.chisquare_poisson(counts, mean)
     corr = np.corrcoef(inner, outer)[0, 1]
     ok = p > 0.01 and abs(corr) < 3.0 / np.sqrt(n)
     verdict(9, "PPP law", ok,

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -36,6 +39,15 @@ class TestParseConfig:
         assert cfg["n_paths"] == 64
         assert cfg["t_grid"] == [0.5, 1.0, 2.0]
 
+    def test_values_take_the_type_of_their_default(self, tmp_path):
+        text = "".join(f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+                       for k, v in cli.DEFAULTS.items())
+        cfg = parse_config(write_config(tmp_path, text))
+        assert cfg == cli.DEFAULTS
+        assert all(type(cfg[k]) is type(v) for k, v in cli.DEFAULTS.items())
+        with pytest.raises(ValueError):
+            parse_config(write_config(tmp_path, "n_paths = 1.5\n"))
+
     def test_unknown_key(self, tmp_path):
         path = write_config(tmp_path, "bogus = 1\n")
         with pytest.raises(ConfigError, match="unknown key"):
@@ -54,7 +66,7 @@ class TestParseConfig:
                                       "t_grid = 0.5,1.005,2", "marginal_time = 0.255",
                                       "kappa = -0.05", "a = -1", "r0 = 0", "vmax = -0.1",
                                       "r_max = 4", "m_cells = 49", "t_grid = -1,1,2",
-                                      "marginal_time = -1", "T = -1"])
+                                      "marginal_time = -1", "T = -1", "probes = 0,-0.5"])
     def test_resolve_rejects_before_simulating(self, tmp_path, capsys, line):
         path = write_config(tmp_path, FAST + line + "\n")
         out = tmp_path / "out"
@@ -126,12 +138,11 @@ class TestCommands:
         assert header == "T,mean_r,stderr_r,mean_r_over_T"
 
     def test_radial_oracle_artifacts(self, tmp_path):
-        from hyptrap.spectral import eigenpair_from_csv
-
         path = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["radial-oracle", "--config", path, "--out", str(out)]) == 0
-        rho, grid, phi = eigenpair_from_csv(out / "eigenpair.csv")
+        rho = float((out / "spectrum.csv").read_text().splitlines()[1].split(",")[0])
+        phi = np.loadtxt(out / "eigenpair.csv", delimiter=",", skiprows=2)[:, 1]
         assert 0.0 < rho < 0.2
         assert np.all(phi > 0)
         assert (out / "survival.csv").exists()
@@ -177,6 +188,9 @@ class TestCommands:
                 for cmd in ("phi-profile", "full-pipeline")}
         assert rows["phi-profile"][0] == ["r", "ratio", "stderr"]
         assert rows["full-pipeline"] == rows["phi-profile"]
+        # each row is labelled with its configured probe radius, not a distance
+        # recomputed from the probe's coordinates
+        assert [float(row[0]) for row in rows["phi-profile"][1:]] == cli.DEFAULTS["probes"]
 
     def test_born_and_contour_checks(self, tmp_path):
         path = write_config(tmp_path, FAST + "born_kmax = 40\n")
@@ -288,6 +302,15 @@ def test_console_script_is_main():
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["hyptrap"]
     module, attr = target.split(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # the commands need scipy.special, not the much larger scipy.stats
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, hyptrap.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_every_config_key_is_read():

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from hyptrap import geometry, stats
+from hyptrap import geometry
 from hyptrap.diffusion import (
     ambient_from_polar,
     ensemble_walk,
@@ -87,7 +88,8 @@ class TestSimulatePath:
         rng = np.random.default_rng(5)
         path = simulate_path(origin(2), 20.0, 0.01, rng)
         scale = float(np.max(path.points[:, 0])) ** 2
-        assert geometry.sheet_defect_batch(path.points) < 1e-12 * scale
+        defect = np.max(np.abs(geometry.minkowski_dot(path.points, path.points) + 1.0))
+        assert defect < 1e-12 * scale
 
     def test_radial_speed_d2(self):
         mean, se = mean_increment_speed(2, 6)
@@ -179,7 +181,7 @@ def reference_potential(spec, config):
 class TestEnsembleWalk:
     def test_single_block_is_reference_walk(self):
         # one block: the plain step-and-trapezoid loop, bit for bit
-        spec = PotentialSpec(1.0, 1.0, 10.0, 1.0)  # uncapped: every near trap counts
+        spec = PotentialSpec(1.0, 1.0, 10.0)  # uncapped: every near trap counts
         config = sample_configuration(2, 8.0, 0.3, np.random.default_rng(20))
         h, n_steps = 0.01, 60
         r0 = np.random.default_rng(21).uniform(0.0, 3.0, 50)
@@ -215,7 +217,7 @@ class TestEnsembleWalk:
     def test_continued_walk_is_one_walk(self):
         # SMC's checkpoints: a walk resumed from its integrals and potential
         # values is bitwise the walk taken in one go
-        pot = FactorPotential(PotentialSpec(1.0, 1.0, 10.0, 1.0),
+        pot = FactorPotential(PotentialSpec(1.0, 1.0, 10.0),
                               sample_configuration(2, 8.0, 0.3, np.random.default_rng(24)))
         r0, u0 = origin_state(40, 2)
         whole = ensemble_walk(r0, u0, 50, 0.01, np.random.default_rng(25), potential=pot)

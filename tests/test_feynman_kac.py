@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from hyptrap import diffusion, feynman_kac, geometry, stats
 from hyptrap.feynman_kac import (
@@ -15,17 +16,17 @@ from hyptrap.feynman_kac import (
     smc_estimate_Z,
     WeightUnderflowError,
 )
-from hyptrap.geometry import origin
+from hyptrap.geometry import HPoint, origin
 from hyptrap.ppp import (
     Configuration,
     ConstantPotential,
     FactorPotential,
+    PotentialField,
     PotentialSpec,
-    ShiftedPotential,
     sample_configuration,
 )
 
-SPEC = PotentialSpec(1.0, 1.0, 0.1, 1.0)
+SPEC = PotentialSpec(1.0, 1.0, 0.1)
 
 
 def planted_trap(d=2, window=60.0):
@@ -61,8 +62,8 @@ class TestEstimateZ:
         # common random numbers: raising the amplitude decreases every weight
         d = 2
         config = Configuration(origin(d).z[None, :], 60.0, 0.0, d)
-        small = FactorPotential(PotentialSpec(0.5, 1.0, 10.0, 1.0), config)
-        large = FactorPotential(PotentialSpec(1.0, 1.0, 10.0, 1.0), config)
+        small = FactorPotential(PotentialSpec(0.5, 1.0, 10.0), config)
+        large = FactorPotential(PotentialSpec(1.0, 1.0, 10.0), config)
         e1 = estimate_Z(origin(d), small, 5.0, 0.01, 300, 2)
         e2 = estimate_Z(origin(d), large, 5.0, 0.01, 300, 2)
         assert np.all(e2.ensemble.log_weights <= e1.ensemble.log_weights + 1e-12)
@@ -102,7 +103,7 @@ class TestSmcEstimateZ:
 
     def test_resample_count_independent_of_workers(self):
         # a deep trap at o spreads the weights enough to resample
-        deep = PotentialSpec(5.0, 1.0, 5.0, 1.0)
+        deep = PotentialSpec(5.0, 1.0, 5.0)
         pot = FactorPotential(deep, Configuration(origin(2).z[None, :], 60.0, 0.0, 2))
         runs = [smc_estimate_Z(origin(2), pot, 2.0, 0.01, 256, 0.5, 6, workers=w)
                 for w in (1, 4)]
@@ -138,6 +139,13 @@ class TestEstimateRho:
 
     def test_midrange_shift_exact(self):
         # V and V - c with common random numbers: slopes differ by exactly c
+        class ShiftedPotential(PotentialField):
+            def __init__(self, base, c):
+                self.base, self.c, self.v_max = base, c, base.v_max
+
+            def evaluate_polar(self, r, u):
+                return self.base.evaluate_polar(r, u) - self.c
+
         pot = planted_trap()
         c = 0.05
         e1 = estimate_rho(walk_o(pot, [2.0, 4.0, 8.0], 400, 6), [2.0, 4.0, 8.0])
@@ -194,9 +202,8 @@ class TestEstimatePhiRatio:
         for r in (0.7, 1.5, 0.0, 3.0):
             rot = np.eye(d + 1)
             rot[1:, 1:], _ = np.linalg.qr(rng.standard_normal((d, d)))
-            off_axis.append(geometry.apply_isometry(geometry.Isometry(rot),
-                                                    canonical_axis_point(d, r)))
-        for spec in (SPEC, PotentialSpec(1.0, 1.0, 10.0, 1.0)):
+            off_axis.append(HPoint(rot @ canonical_axis_point(d, r).z))
+        for spec in (SPEC, PotentialSpec(1.0, 1.0, 10.0)):
             pot = FactorPotential(spec, scene)
             fused = estimate_phi_ratio(*walk_probes(off_axis, pot, 1.0, 0.01, 100, 3))
             assert fused == separate_walks_table(off_axis, pot, 1.0, 0.01, 100, 3)
@@ -204,7 +211,7 @@ class TestEstimatePhiRatio:
     def test_constant_potential_unit_ratios(self):
         d = 2
         config = Configuration(np.empty((0, d + 1)), 60.0, 0.0, d)
-        spec = PotentialSpec(1.0, 1.0, 0.0, 1.0)  # capped at zero: V = 0
+        spec = PotentialSpec(1.0, 1.0, 0.0)  # capped at zero: V = 0
         probes = [canonical_axis_point(d, r) for r in (0.5, 1.0)]
         table = estimate_phi_ratio(*walk_probes(probes, FactorPotential(spec, config),
                                                 2.0, 0.01, 64, 0))
@@ -338,7 +345,7 @@ class TestDoobSimulate:
         r0 = np.zeros(4000)
         u0 = np.tile([1.0, 0.0], (4000, 1))
         free = diffusion.ensemble_walk(r0, u0, 200, 0.01, rng2)
-        _, p = stats.ks_2samp(radii, free.r)
+        _, p = ks_2samp(radii, free.r)
         assert p > 0.01
 
     def test_decaying_eigenfunction_confines(self):
@@ -384,14 +391,13 @@ class TestLockstepStreams:
         scene = sample_configuration(d, 8.0, 1.0, np.random.default_rng(30))
         ry, _ = diffusion.polar_from_ambient(scene.points)
         config = Configuration(scene.points[ry > 2.5], 8.0, 1.0, d)
-        pot = FactorPotential(PotentialSpec(1.0, 1.0, 100.0, 1.0), config)
+        pot = FactorPotential(PotentialSpec(1.0, 1.0, 100.0), config)
         rng = np.random.default_rng(32)
         starts = []
         for r in (0.0, 2.0, 4.5):
             rot = np.eye(d + 1)
             rot[1:, 1:], _ = np.linalg.qr(rng.standard_normal((d, d)))
-            starts.append(geometry.apply_isometry(geometry.Isometry(rot),
-                                                  canonical_axis_point(d, r)))
+            starts.append(HPoint(rot @ canonical_axis_point(d, r).z))
         snaps = [0.1, 0.2]
         ens = simulate_tilted_ensemble(starts, pot, n_steps * h, h, N, seed,
                                        snapshot_times=snaps)

@@ -1,4 +1,4 @@
-"""Hyperboloid-model geometry: forms, distances, isometries."""
+"""Hyperboloid-model geometry: forms, points, distances."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from hyptrap import geometry
 from hyptrap.geometry import (
     GeometryError,
     HPoint,
-    Isometry,
-    apply_isometry,
     distance,
     minkowski_dot,
     origin,
@@ -21,15 +19,6 @@ def random_point(d, rng, r_scale=3.0):
     u /= np.linalg.norm(u)
     z = np.concatenate([[np.cosh(r)], np.sinh(r) * u])
     return HPoint(z)
-
-
-def random_rotation(d, rng):
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    A = np.eye(d + 1)
-    A[1:, 1:] = q
-    return Isometry(A)
 
 
 class TestMinkowskiDot:
@@ -84,28 +73,6 @@ class TestDistance:
         for _ in range(1000):
             x, y, z = (random_point(2, rng) for _ in range(3))
             assert distance(x, z) <= distance(x, y) + distance(y, z) + 1e-10
-
-
-class TestIsometry:
-    def test_identity(self):
-        rng = np.random.default_rng(6)
-        x = random_point(2, rng)
-        y = apply_isometry(Isometry(np.eye(3)), x)
-        assert np.allclose(y.z, x.z)
-
-    def test_distance_preserved(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            # K-rotations
-            g = random_rotation(2, rng)
-            x, y = random_point(2, rng), random_point(2, rng)
-            d1 = distance(x, y)
-            d2 = distance(apply_isometry(g, x), apply_isometry(g, y))
-            assert abs(d1 - d2) < 1e-10
-
-    def test_non_orthogonal_rejected(self):
-        with pytest.raises(GeometryError):
-            Isometry(2.0 * np.eye(3))
 
 
 class TestBatchedKernels:

@@ -23,7 +23,7 @@ from hyptrap.geometry import origin
 from hyptrap.ppp import Configuration, FactorPotential, PotentialSpec
 
 D = 2
-SPEC = PotentialSpec(1.0, 1.0, 0.1, 1.0)
+SPEC = PotentialSpec(1.0, 1.0, 0.1)
 T_GRID = [10.0, 20.0, 40.0]
 H = 0.01
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import chisquare_poisson
 from hyptrap import geometry
 from hyptrap.diffusion import ambient_from_polar, polar_from_ambient
 from hyptrap.geometry import HPoint, origin
@@ -14,7 +15,6 @@ from hyptrap.ppp import (
     ConstantPotential,
     FactorPotential,
     PotentialSpec,
-    ShiftedPotential,
     WindowError,
     ball_volume,
     polar_distances,
@@ -28,6 +28,11 @@ def axis_point(d, r):
     z[0] = np.cosh(r)
     z[1] = np.sinh(r)
     return HPoint(z)
+
+
+def value_at(pot, x):
+    """V at one point of the sheet."""
+    return float(pot.evaluate_polar(*polar_from_ambient(x.z[None, :]))[0])
 
 
 def unit_directions(rng, n, d=2):
@@ -61,6 +66,11 @@ class TestSampleConfiguration:
         config = sample_configuration(2, 5.0, 0.0, rng)
         assert len(config) == 0
 
+    def test_negative_intensity_rejected(self):
+        # check_intensity, the one bound on kappa, guards every configuration
+        with pytest.raises(ValueError, match="intensity"):
+            sample_configuration(2, 3.0, -0.5, np.random.default_rng(0))
+
     def test_mean_count(self):
         rng = np.random.default_rng(1)
         mean = 2 * math.pi * (math.cosh(3.0) - 1)  # ~56.96
@@ -76,8 +86,6 @@ class TestSampleConfiguration:
         assert np.all(r <= 2.0 + 1e-9)
 
     def test_count_poisson_gof(self):
-        from hyptrap.stats import chisquare_poisson
-
         rng = np.random.default_rng(3)
         mean = ball_volume(2, 2.0)
         counts = [len(sample_configuration(2, 2.0, 1.0, rng)) for _ in range(10_000)]
@@ -118,9 +126,12 @@ class TestConfiguration:
     def test_json_roundtrip(self):
         rng = np.random.default_rng(6)
         config = sample_configuration(2, 3.0, 1.0, rng)
-        back = Configuration.from_json(config.to_json())
+        obj = json.loads(config.to_json())
+        back = Configuration(np.asarray(obj["points"]), obj["window_radius"],
+                             obj["intensity"], obj["d"])
         assert back.d == config.d
         assert back.window_radius == config.window_radius
+        assert back.intensity == config.intensity
         assert np.array_equal(back.points, config.points)
 
     def test_json_schema_keys(self):
@@ -132,16 +143,10 @@ class TestConfiguration:
         with pytest.raises(WindowError):
             Configuration(axis_point(2, 3.0).z[None, :], 2.0, 1.0, 2)
 
-    def test_add_point(self):
-        config = Configuration(np.empty((0, 3)), 5.0, 0.0, 2)
-        bigger = config.add_point(axis_point(2, 1.0))
-        assert len(bigger) == 1
-        assert len(config) == 0
-
 
 class TestPotentialSpec:
     def test_profile_support(self):
-        spec = PotentialSpec(2.0, 1.5, 0.5, 1.0)
+        spec = PotentialSpec(2.0, 1.5, 0.5)
         r = np.linspace(0, 3, 100)
         v = spec.profile(r)
         assert np.all(v[r >= 1.5] == 0.0)
@@ -154,28 +159,28 @@ class TestPotentialSpec:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            PotentialSpec(-1.0, 1.0, 0.1, 1.0)
+            PotentialSpec(-1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            PotentialSpec(1.0, 0.0, 0.1, 1.0)
+            PotentialSpec(1.0, 0.0, 0.1)
 
 
 class TestFactorPotential:
     def setup_method(self):
-        self.spec = PotentialSpec(1.0, 1.0, 0.1, 1.0)
+        self.spec = PotentialSpec(1.0, 1.0, 0.1)
 
     def test_empty_configuration(self):
         config = Configuration(np.empty((0, 3)), 10.0, 0.0, 2)
-        assert FactorPotential(self.spec, config)(origin(2)) == 0.0
+        assert value_at(FactorPotential(self.spec, config), origin(2)) == 0.0
 
     def test_far_point_zero(self):
         config = Configuration(axis_point(2, 2.0).z[None, :], 10.0, 0.0, 2)
-        assert FactorPotential(self.spec, config)(origin(2)) == 0.0
+        assert value_at(FactorPotential(self.spec, config), origin(2)) == 0.0
 
     def test_cap_saturates(self):
         # 50 coincident points with eta(0)*50 >> V_max
         pts = np.tile(axis_point(2, 0.5).z, (50, 1))
         config = Configuration(pts, 10.0, 0.0, 2)
-        v = FactorPotential(self.spec, config)(axis_point(2, 0.5))
+        v = value_at(FactorPotential(self.spec, config), axis_point(2, 0.5))
         assert v == self.spec.v_max
 
     def test_single_trap_profile(self):
@@ -183,13 +188,13 @@ class TestFactorPotential:
         pot = FactorPotential(self.spec, config)
         for r in (0.0, 0.3, 0.7, 0.99):
             expected = min(self.spec.v_max, float(self.spec.profile(r)))
-            assert abs(pot(axis_point(2, r)) - expected) < 1e-12
+            assert abs(value_at(pot, axis_point(2, r)) - expected) < 1e-12
 
     def test_window_violation(self):
         config = Configuration(origin(2).z[None, :], 3.0, 0.0, 2)
         pot = FactorPotential(self.spec, config)
         with pytest.raises(WindowError, match="window too small"):
-            pot(axis_point(2, 2.5))
+            value_at(pot, axis_point(2, 2.5))
 
     def test_rotation_stationarity_exact(self):
         # V(k.omega, k.x) = V(omega, x) exactly for rotations about o
@@ -217,12 +222,15 @@ class TestFactorPotential:
     def test_monotone_in_configuration(self):
         rng = np.random.default_rng(8)
         config = sample_configuration(2, 6.0, 0.3, rng)
-        pot = FactorPotential(self.spec, config)
-        bigger = FactorPotential(self.spec, config.add_point(axis_point(2, 1.0)))
+        # the raw sum, without the V_max cap
+        uncapped = PotentialSpec(1.0, 1.0, np.inf)
+        pot = FactorPotential(uncapped, config)
+        bigger = FactorPotential(uncapped, Configuration(
+            np.vstack([config.points, axis_point(2, 1.0).z]), 6.0, 0.3, 2))
         r = rng.uniform(0, 4, size=100)
         u = rng.standard_normal((100, 2))
         u /= np.linalg.norm(u, axis=1)[:, None]
-        assert np.all(bigger.uncapped_polar(r, u) >= pot.uncapped_polar(r, u))
+        assert np.all(bigger.evaluate_polar(r, u) >= pot.evaluate_polar(r, u))
 
     def test_value_range(self):
         rng = np.random.default_rng(9)
@@ -238,9 +246,9 @@ class TestFactorPotential:
         # reference: the profile summed over every trap of the configuration
         ry, uy = polar_from_ambient(config.points)
         dense = self.spec.profile(polar_distances(r, u, ry, uy)).sum(axis=1)
-        pot = FactorPotential(self.spec, config)
-        for got, want in ((pot.uncapped_polar(r, u), dense),
-                          (pot.evaluate_polar(r, u), np.minimum(self.spec.v_max, dense))):
+        uncapped = PotentialSpec(1.0, 1.0, np.inf)
+        for spec, want in ((uncapped, dense), (self.spec, np.minimum(self.spec.v_max, dense))):
+            got = FactorPotential(spec, config).evaluate_polar(r, u)
             assert got.shape == (len(r),)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         return dense
@@ -318,7 +326,7 @@ class TestFactorPotential:
         assert np.sum(cuts == 0) >= 20 and set(edges) <= set(cuts.tolist())
         assert sum(2**j - 1 in edges and 2**j in edges for j in range(3, 13)) >= 8
         perm = rng.permutation(len(r))
-        for spec in (self.spec, PotentialSpec(1.0, 1.0, 100.0, 1.0)):
+        for spec in (self.spec, PotentialSpec(1.0, 1.0, 100.0)):
             pot = FactorPotential(spec, config)
             batch = pot.evaluate_polar(r, u)
             alone = np.concatenate([pot.evaluate_polar(r[i:i + 1], u[i:i + 1])
@@ -368,10 +376,3 @@ class TestConstantAndShifted:
         r = np.linspace(0, 10, 7)
         u = np.tile([1.0, 0.0], (7, 1))
         assert np.all(pot.evaluate_polar(r, u) == 0.3)
-
-    def test_shifted(self):
-        base = ConstantPotential(0.5)
-        pot = ShiftedPotential(base, 0.2)
-        r = np.zeros(3)
-        u = np.tile([1.0, 0.0], (3, 1))
-        assert np.allclose(pot.evaluate_polar(r, u), 0.3)

@@ -1,5 +1,10 @@
 """Radial Schroedinger oracle: eigensolver, Born series, contour projector."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +17,6 @@ from hyptrap.spectral import (
     build_radial_operator,
     contour_projector,
     direct_resolvent_solve,
-    eigenpair_from_csv,
     eigenpair_to_csv,
     log_derivative_interpolant,
     solve_ground_state,
@@ -73,9 +77,9 @@ class TestBuildRadialOperator:
         assert abs(gaps[0] - np.pi**2 / (2 * 30.0**2)) < 0.1 * gaps[0]
 
     def test_constant_shift(self):
-        op = build_radial_operator(2, 30.0, 500, trap_potential)
-        s1 = solve_ground_state(op)
-        s2 = solve_ground_state(op.shifted(0.7))
+        s1 = solve_ground_state(build_radial_operator(2, 30.0, 500, trap_potential))
+        s2 = solve_ground_state(
+            build_radial_operator(2, 30.0, 500, lambda r: trap_potential(r) + 0.7))
         assert abs(s2.rho - s1.rho - 0.7) < 1e-12
         assert abs(s2.gap - s1.gap) < 1e-12
 
@@ -227,6 +231,24 @@ class TestSurvivalHarmonic:
         res = op.apply(h)
         assert np.max(np.abs(res[:-1])) < 1e-8
 
+    def test_finite_horizon_independent_of_blas_threads(self):
+        # full-pipeline's oracle at the CLI defaults, in fresh interpreters with
+        # 1 and 2 BLAS threads: its bytes must not depend on the thread count
+        code = ("import hashlib; from hyptrap import cli, spectral;"
+                "cfg = cli.resolve_config({});"
+                "op = spectral.build_radial_operator(cfg['d'], cfg['r_max'], cfg['m_cells'],"
+                " cli.trap_radial_potential(cfg));"
+                "z = [spectral.finite_horizon_survival(op, T) for T in (5.0, 20.0)];"
+                "print(hashlib.sha256(b''.join(x.tobytes() for x in z)).hexdigest())")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(spectral.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert len(digests) == 1
+
 
 class TestLogDerivativeInterpolant:
     def test_constant_phi_zero_drift(self):
@@ -257,7 +279,11 @@ class TestEigenpairCsv:
         s = solve_ground_state(op)
         path = tmp_path / "eigenpair.csv"
         eigenpair_to_csv(s, path)
-        rho, grid, phi = eigenpair_from_csv(path)
-        assert rho == s.rho
+        header, columns, *rows = path.read_text().splitlines()
+        meta = dict(kv.split("=") for kv in header.lstrip("# ").split())
+        assert meta == {"rho": repr(s.rho), "gap": repr(s.gap), "R_max": "30.0",
+                        "M": "500", "d": "2"}
+        assert columns == "r,phi"
+        grid, phi = np.loadtxt(rows, delimiter=",").T
         assert np.array_equal(grid, s.grid)
         assert np.array_equal(phi, s.phi)

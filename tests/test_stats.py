@@ -1,10 +1,11 @@
-"""Weighted two-sample tests and Poisson goodness-of-fit helpers."""
+"""Weighted two-sample tests, log-mean-exp, and the Poisson goodness-of-fit
+statistic of the PPP-law tests."""
 
 import numpy as np
 import pytest
 
+from conftest import chisquare_poisson
 from hyptrap.stats import (
-    chisquare_poisson,
     effective_sample_size,
     log_mean_exp,
     weighted_cdf,
