@@ -5,7 +5,7 @@ radial spectral oracles, Doob-transformed dynamics, and Fock-space checks
 for Poisson functionals.
 """
 
-from hyptrap.geometry import HPoint, minkowski_dot, distance
+from hyptrap.geometry import HPoint, minkowski_dot
 from hyptrap.ppp import Configuration, PotentialSpec, ball_volume
 
 __version__ = "0.1.0"
@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 __all__ = [
     "HPoint",
     "minkowski_dot",
-    "distance",
     "Configuration",
     "PotentialSpec",
     "ball_volume",

@@ -208,6 +208,8 @@ def cmd_sample_ppp(cfg, out):
 
 def cmd_simulate_bm(cfg, out):
     d, T, h, N = cfg["d"], cfg["T"], cfg["h"], cfg["n_paths"]
+    if T <= 0:
+        raise ConfigError(f"T must be positive to read a radial speed r_T / T, got {T:g}")
     ens = feynman_kac.simulate_tilted_ensemble(
         geometry.origin(d), None, T, h, N, cfg["seed"], workers=cfg["workers"])
     radii = ens.final_radii
@@ -215,10 +217,18 @@ def cmd_simulate_bm(cfg, out):
               [(T, float(radii.mean()), float(radii.std(ddof=1) / np.sqrt(N)),
                 float(radii.mean() / T))])
     if cfg["dump_paths"]:
+        # up to 10 whole paths from o, walked one after another on one generator
+        m = int(round(T / h))
         rng = np.random.default_rng(cfg["seed"])
+        r0, u0 = diffusion.polar_from_ambient(geometry.origin(d).z[None, :])
+        header = "t," + ",".join(f"z_{i}" for i in range(d + 1)) + ",r"
         for i in range(min(N, 10)):
-            path = diffusion.simulate_path(geometry.origin(d), T, h, rng)
-            path.to_csv(out / f"path_{i:03d}.csv")
+            snaps = diffusion.ensemble_walk(r0, u0, m, h, rng,
+                                            snapshot_steps=range(m + 1)).snapshots
+            pts = np.vstack([diffusion.ambient_from_polar(*snaps[k][:2]) for k in range(m + 1)])
+            np.savetxt(out / f"path_{i:03d}.csv",
+                       np.column_stack([np.arange(m + 1) * h, pts, geometry.radius_batch(pts)]),
+                       delimiter=",", header=header, comments="")
     return {}
 
 

@@ -10,10 +10,6 @@ direction u in T_o H^d): the ambient hyperboloid coordinates lose the sheet
 constraint to cancellation once r exceeds ~18, while the polar update below
 is built from same-sign terms and keeps absolute machine accuracy in r at
 any radius the walks reach.
-
-`radial_oracle_final` is an independent 1-D Euler-Maruyama discretization of the
-radial SDE dr = dB + ((d-1)/2) coth(r) dt, used only to cross-check the full
-sampler's radial statistics.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from hyptrap import geometry
-from hyptrap.geometry import HPoint
 
 MAX_STEP = 0.1
 
@@ -106,86 +101,43 @@ def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     return r_new, u_new
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """A discretized trajectory on the hyperboloid with a uniform time grid."""
-
-    times: np.ndarray   # (m+1,)
-    points: np.ndarray  # (m+1, d+1)
-    start: HPoint
-
-    def radii(self):
-        return geometry.radius_batch(self.points)
-
-    def to_csv(self, path):
-        r = self.radii()
-        d = self.points.shape[1] - 1
-        header = "t," + ",".join(f"z_{i}" for i in range(d + 1)) + ",r"
-        data = np.column_stack([self.times, self.points, r])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-def simulate_path(x0: HPoint, T, h, rng) -> PathSample:
-    """Iterate the walk to horizon T, storing the whole trajectory."""
-    if T < 0:
-        raise ValueError("negative horizon")
-    m = int(round(T / h)) if T > 0 else 0
-    if T > 0:
-        _check_step(h)
-        if not on_step_grid(T, h):
-            raise ValueError("T must be an integral number of steps")
-    pts = np.empty((m + 1, x0.d + 1))
-    pts[0] = x0.z
-    if m:
-        r, u = polar_from_ambient(x0.z[None, :])
-        walk = ensemble_walk(r, u, m, h, rng, snapshot_steps=range(1, m + 1))
-        for k in range(1, m + 1):
-            pts[k] = ambient_from_polar(*walk.snapshots[k][:2])[0]
-    times = np.arange(m + 1) * h
-    return PathSample(times, pts, x0)
-
-
 @dataclass
 class WalkResult:
     """Streaming output of an ensemble walk in polar state.
 
     `integrals` holds the trapezoid accumulation of the potential along each
-    path and `v` the potential at the final state (None without a
-    potential); `snapshots` maps a step index to copies of (r, u, integrals).
+    path (zeros without a potential); `snapshots` maps a step index to
+    copies of (r, u, integrals).
     """
 
     r: np.ndarray
     u: np.ndarray
     integrals: np.ndarray
-    v: np.ndarray | None
     snapshots: dict
 
 
 def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
-                  drift_fn=None, blocks=1, integrals=None, v0=None) -> WalkResult:
+                  drift_fn=None, blocks=1) -> WalkResult:
     """Advance N paths in lockstep, accumulating int V dt by trapezoid rule.
 
-    This is the one geodesic-walk loop: every estimator, `simulate_path` and
-    the SMC particle systems advance through it.  `rng` is one generator or
-    a sequence of (generator, rows) pairs, the independent streams of each
-    block (`step_polar`); every step makes one `step_polar` and one
+    This is the one geodesic-walk loop: every estimator and `simulate-bm`'s
+    path dump advance through it.  `rng` is one generator or a sequence of
+    (generator, rows) pairs, the independent streams of each block
+    (`step_polar`); every step makes one `step_polar` and one
     `evaluate_polar` call for all of them.  The N paths may stack `blocks`
     equal blocks, each from its own starts, that share every Gaussian draw.
     The step and the potential are functions of each row alone, so every
     (stream, block) segment is bitwise the walk that stream would take
-    alone from that block's starts.  `integrals` and `v0`, the integrals
-    accumulated so far and the potential at (r0, u0), continue an earlier
-    walk exactly.
+    alone from that block's starts.
     """
     _check_step(h)
     r = np.array(r0, dtype=float)
     u = np.array(u0, dtype=float)
     draws = _draws(rng, len(r) // blocks)
-    integrals = np.zeros(len(r)) if integrals is None else np.array(integrals, dtype=float)
+    integrals = np.zeros(len(r))
     snapshots = {}
-    v_prev = None
     if potential is not None:
-        v_prev = potential.evaluate_polar(r, u) if v0 is None else v0
+        v_prev = potential.evaluate_polar(r, u)
     if 0 in snapshot_steps:
         snapshots[0] = (r.copy(), u.copy(), integrals.copy())
     for k in range(1, n_steps + 1):
@@ -196,26 +148,5 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
             v_prev = v_cur
         if k in snapshot_steps:
             snapshots[k] = (r.copy(), u.copy(), integrals.copy())
-    return WalkResult(r, u, integrals, v_prev, snapshots)
+    return WalkResult(r, u, integrals, snapshots)
 
-
-# ---------------------------------------------------------------------------
-# independent radial oracle (1-D Euler-Maruyama)
-# ---------------------------------------------------------------------------
-
-
-def radial_drift(d, r):
-    """Drift ((d-1)/2) coth(r) of the radial part of Brownian motion."""
-    return (d - 1) / 2.0 / np.tanh(r)
-
-
-def radial_oracle_final(d, r0, T, h, N, rng):
-    """Terminal radii of N independent radial-SDE paths, reflected at r = h
-    near the origin (an entrance boundary; this dodges the coth singularity)."""
-    m = int(round(T / h))
-    r = np.full(N, max(r0, 0.0))
-    sqh = np.sqrt(h)
-    for _ in range(m):
-        rc = np.maximum(r, h)
-        r = np.maximum(rc + radial_drift(d, rc) * h + sqh * rng.standard_normal(N), h)
-    return r

@@ -1,11 +1,11 @@
 """Estimators for the tilted path measure exp(-int_0^T V(X_s) ds).
 
 Survival constants Z_T^x, decay-rate extraction, eigenfunction ratios,
-Q-process marginals, a sequential Monte Carlo variant with resampling, and
-terminal radii of the Doob-transformed dynamics.  The decay rate, the ratios
-and the marginals read the PathEnsembles that `simulate_tilted_ensemble`
-returns, so one walk with snapshots serves all three; they form log Z as a
-max-shifted log-mean-exp, which stays finite where exp(-int V) underflows.
+Q-process marginals and terminal radii of the Doob-transformed dynamics.
+The decay rate, the ratios and the marginals read the PathEnsembles that
+`simulate_tilted_ensemble` returns, so one walk with snapshots serves all
+three; they form log Z as a max-shifted log-mean-exp, which stays finite
+where exp(-int V) underflows.
 
 Randomness is organized as a fixed fan-out of NUM_STREAMS child streams per
 seed.  An ensemble walks its streams in lockstep: time is the outer loop, and
@@ -168,84 +168,6 @@ def estimate_Z(x: HPoint, potential: PotentialField, T, h, N, seed, workers=1) -
     ens = simulate_tilted_ensemble(x, potential, T, h, N, seed, workers=workers)
     z, se = _mean_stderr(ens.weights)
     return ZEstimate(z, se, ens)
-
-
-# ---------------------------------------------------------------------------
-# sequential Monte Carlo variant
-# ---------------------------------------------------------------------------
-
-
-class WeightUnderflowError(ArithmeticError):
-    """A particle system's weights are no longer finite with a positive sum."""
-
-
-@dataclass
-class SMCResult:
-    z_hat: float
-    stderr: float
-    ess_traces: list    # one ESS trace per independent particle system
-    n_resamples: int
-
-
-def smc_estimate_Z(x: HPoint, potential: PotentialField, T, h, N, resample_period,
-                   seed, workers=1) -> SMCResult:
-    """Particle-system estimator of the same functional as estimate_Z.
-
-    N particles split into NUM_STREAMS independent systems; each system
-    advances with `diffusion.ensemble_walk` from one checkpoint to the next,
-    resamples multinomially whenever its ESS drops below half its size at a
-    checkpoint, and contributes the unbiased product-of-mean-weights
-    estimator.  The returned value is the mean over systems.
-    """
-    period_steps = int(round(resample_period / h))
-    if period_steps < 1 or abs(period_steps * h - resample_period) > 1e-9:
-        raise ValueError("resample_period must be a positive multiple of h")
-    n_steps = int(round(T / h))
-    sizes = _chunk_sizes(N)
-    streams = list(zip(_chunk_rngs(seed, len(sizes)), sizes))
-
-    r_start, u_start = diffusion.polar_from_ambient(x.z[None, :])
-
-    def job(rng, n):
-        r = np.full(n, r_start[0])
-        u = np.tile(u_start[0], (n, 1))
-        integrals = np.zeros(n)
-        v = None
-        log_factor = 0.0
-        trace = []
-        resamples = 0
-        k = 0
-        while k < n_steps:
-            steps = min(period_steps, n_steps - k)
-            walk = diffusion.ensemble_walk(r, u, steps, h, rng, potential=potential,
-                                           integrals=integrals, v0=v)
-            r, u, integrals, v = walk.r, walk.u, walk.integrals, walk.v
-            k += steps
-            w = np.exp(-integrals)
-            if not (np.all(np.isfinite(w)) and w.sum() > 0):
-                raise WeightUnderflowError(
-                    f"particle weights at t = {k * h:g} are not finite with a "
-                    "positive sum; shorten resample_period")
-            ess = effective_sample_size(w)
-            trace.append(ess)
-            if ess < n / 2.0 and k < n_steps:
-                log_factor += np.log(np.mean(w))
-                idx = rng.choice(n, size=n, p=w / w.sum())
-                idx.sort()  # fixed ordering for reproducibility
-                r = r[idx]
-                u = u[idx]
-                v = v[idx]
-                integrals = np.zeros(n)
-                resamples += 1
-        return float(np.exp(log_factor) * np.mean(np.exp(-integrals))), trace, resamples
-
-    results = [res for group in _run_groups(lambda g: [job(*s) for s in g], streams, workers)
-               for res in group]
-    z_per_system = np.array([z for z, _, _ in results])
-    traces = [t for _, t, _ in results]
-    z = float(np.mean(z_per_system))
-    se = float(np.std(z_per_system, ddof=1) / np.sqrt(len(z_per_system)))
-    return SMCResult(z, se, traces, sum(n for _, _, n in results))
 
 
 # ---------------------------------------------------------------------------

@@ -59,11 +59,6 @@ class HPoint:
         return self.z.shape[0] - 1
 
 
-def distance(x: HPoint, y: HPoint) -> float:
-    """Geodesic distance arccosh(-<x,y>_J)."""
-    return float(np.arccosh(np.maximum(1.0, -minkowski_dot(x.z, y.z))))
-
-
 # ---------------------------------------------------------------------------
 # batched kernels (arrays of shape (N, d+1))
 # ---------------------------------------------------------------------------

@@ -255,14 +255,3 @@ class FactorPotential(PotentialField):
     def evaluate_polar(self, r, u):
         self.check_window(float(np.max(r, initial=0.0)))
         return np.minimum(self.spec.v_max, self._near_sum(r, u))
-
-
-class ConstantPotential(PotentialField):
-    """V identically equal to c; the exactly solvable reference case."""
-
-    def __init__(self, c):
-        self.c = float(c)
-        self.v_max = max(self.c, 0.0)
-
-    def evaluate_polar(self, r, u):
-        return np.full(len(np.asarray(r)), self.c)

@@ -1,8 +1,18 @@
-"""Shared test plumbing: verdict lines that survive output capture, and the
-Poisson goodness-of-fit statistic of the PPP-law tests."""
+"""Shared test plumbing: verdict lines that survive output capture, the
+Poisson goodness-of-fit statistic of the PPP-law tests, and the reference
+objects the tests compare the program with: the scalar geodesic distance, a
+constant potential, and an independent radial oracle.
+
+`radial_oracle_final` is an independent 1-D Euler-Maruyama discretization of the
+radial SDE dr = dB + ((d-1)/2) coth(r) dt, used only to cross-check the full
+sampler's radial statistics.
+"""
 
 import numpy as np
 from scipy import stats
+
+from hyptrap.geometry import HPoint, minkowski_dot
+from hyptrap.ppp import PotentialField
 
 VERDICTS = []
 
@@ -50,3 +60,36 @@ def chisquare_poisson(counts, mean, min_expected=5.0):
     exp_arr = exp_arr * n / exp_arr.sum()
     stat, p = stats.chisquare(obs_arr, exp_arr)
     return float(stat), float(p)
+
+
+def distance(x: HPoint, y: HPoint) -> float:
+    """Geodesic distance arccosh(-<x,y>_J)."""
+    return float(np.arccosh(np.maximum(1.0, -minkowski_dot(x.z, y.z))))
+
+
+class ConstantPotential(PotentialField):
+    """V identically equal to c; the exactly solvable reference case."""
+
+    def __init__(self, c):
+        self.c = float(c)
+        self.v_max = max(self.c, 0.0)
+
+    def evaluate_polar(self, r, u):
+        return np.full(len(np.asarray(r)), self.c)
+
+
+def radial_drift(d, r):
+    """Drift ((d-1)/2) coth(r) of the radial part of Brownian motion."""
+    return (d - 1) / 2.0 / np.tanh(r)
+
+
+def radial_oracle_final(d, r0, T, h, N, rng):
+    """Terminal radii of N independent radial-SDE paths, reflected at r = h
+    near the origin (an entrance boundary; this dodges the coth singularity)."""
+    m = int(round(T / h))
+    r = np.full(N, max(r0, 0.0))
+    sqh = np.sqrt(h)
+    for _ in range(m):
+        rc = np.maximum(r, h)
+        r = np.maximum(rc + radial_drift(d, rc) * h + sqh * rng.standard_normal(N), h)
+    return r

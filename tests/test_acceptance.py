@@ -48,7 +48,6 @@ from hyptrap import cli, diffusion, feynman_kac, fock, geometry, spectral, stats
 from hyptrap.geometry import origin
 from hyptrap.ppp import (
     Configuration,
-    ConstantPotential,
     FactorPotential,
     PotentialSpec,
     ball_volume,
@@ -170,13 +169,14 @@ def test_criterion_5_q_process_mechanism(oracle, origin_walk):
 
 def test_criterion_6_constant_potential_identities():
     c, T = 0.2, 4.0
-    z = feynman_kac.estimate_Z(origin(2), ConstantPotential(c), T, 0.01, 1000, 0)
+    pot = conftest.ConstantPotential(c)
+    z = feynman_kac.estimate_Z(origin(2), pot, T, 0.01, 1000, 0)
     z_exact = abs(z.z_hat - np.exp(-c * T)) < 1e-12 and z.stderr < 1e-14
-    ens = feynman_kac.simulate_tilted_ensemble(origin(2), ConstantPotential(c), 8.0, 0.01,
+    ens = feynman_kac.simulate_tilted_ensemble(origin(2), pot, 8.0, 0.01,
                                                1000, 0, snapshot_times=[2.0, 4.0, 8.0])
     est = feynman_kac.estimate_rho(ens, [2.0, 4.0, 8.0])
     rho_exact = abs(est.rho_hat - c) < 1e-12
-    ens = feynman_kac.simulate_tilted_ensemble(origin(2), ConstantPotential(c), 8.0, 0.01,
+    ens = feynman_kac.simulate_tilted_ensemble(origin(2), pot, 8.0, 0.01,
                                                10_000, 1, snapshot_times=[1.0, 4.0, 8.0])
     qm = feynman_kac.q_marginal(ens, 1.0, [4.0, 8.0])
     rng = np.random.default_rng(2)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyptrap import cli, feynman_kac
+from hyptrap import cli, feynman_kac, geometry
 from hyptrap.cli import ConfigError, main, parse_config, resolve_config
 
 FAST = """
@@ -136,6 +136,14 @@ class TestCommands:
         assert main(["simulate-bm", "--config", path, "--out", str(out)]) == 0
         header = (out / "radial.csv").read_text().splitlines()[0]
         assert header == "T,mean_r,stderr_r,mean_r_over_T"
+
+    def test_simulate_bm_needs_a_positive_horizon(self, tmp_path, capsys):
+        # r_T / T is undefined at T = 0: exit 2 before anything is written
+        path = write_config(tmp_path, FAST + "T = 0\ndump_paths = 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate-bm", "--config", path, "--out", str(out)]) == 2
+        assert "T must be positive" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_radial_oracle_artifacts(self, tmp_path):
         path = write_config(tmp_path)
@@ -264,6 +272,24 @@ class TestDeterminism:
             for other in outs[1:]:
                 assert f.read_bytes() == (other / f.name).read_bytes(), (other.name, f.name)
 
+    def test_simulate_bm_dump_paths(self, tmp_path):
+        # ten whole paths from o on the hyperboloid, one row per step of h
+        path = write_config(tmp_path, "dump_paths = 1\nn_paths = 12\nT = 1\n")
+        self.assert_worker_count_byte_identical(tmp_path, "simulate-bm", path,
+                                                workers=("1", "3"))
+        dumps = sorted((tmp_path / "w1").glob("path_*.csv"))
+        assert [f.name for f in dumps] == [f"path_{i:03d}.csv" for i in range(10)]
+        for f in dumps:
+            assert f.read_text().splitlines()[0] == "t,z_0,z_1,z_2,r"
+            data = np.loadtxt(f, delimiter=",", skiprows=1)
+            assert data.shape == (101, 5)
+            t, z, r = data[:, 0], data[:, 1:4], data[:, 4]
+            assert np.array_equal(t, np.arange(101) * 0.01)
+            # the quadratic form itself rounds like eps * z_0^2
+            defect = np.max(np.abs(geometry.minkowski_dot(z, z) + 1.0))
+            assert defect < 1e-12 * np.max(z[:, 0]) ** 2
+            assert np.array_equal(r, np.arccosh(z[:, 0]))
+
     def test_worker_count_byte_identical(self, tmp_path):
         self.assert_worker_count_byte_identical(tmp_path, "q-marginal",
                                                 write_config(tmp_path))
@@ -321,3 +347,28 @@ def test_every_config_key_is_read():
             and isinstance(node.value, ast.Name) and node.value.id == "cfg"
             and isinstance(node.slice, ast.Constant)}
     assert sorted(set(cli.DEFAULTS) - read) == []
+
+
+def test_every_top_level_name_is_used():
+    # a function or class that no other line of the package names is reached
+    # only by the tests, and belongs with them
+    src = Path(cli.__file__).parent
+    trees = {f: ast.parse(f.read_text()) for f in sorted(src.glob("*.py"))
+             if f.name != "__init__.py"}
+
+    def names(node, skip):
+        if node is skip:
+            return
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        for child in ast.iter_child_nodes(node):
+            yield from names(child, skip)
+
+    unused = [f"{f.name}:{node.name}" for f, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not any(node.name in names(other, node) for other in trees.values())]
+    assert unused == []

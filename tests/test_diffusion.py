@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hyptrap import geometry
+from conftest import radial_drift, radial_oracle_final
 from hyptrap.diffusion import (
     ambient_from_polar,
     ensemble_walk,
     polar_from_ambient,
-    radial_drift,
-    radial_oracle_final,
-    simulate_path,
     step_polar,
 )
 from hyptrap.geometry import origin
@@ -76,21 +73,6 @@ class TestBmStep:
 
 
 class TestSimulatePath:
-    def test_zero_horizon(self):
-        rng = np.random.default_rng(4)
-        path = simulate_path(origin(2), 0.0, 0.01, rng)
-        assert len(path.times) == 1
-        assert np.array_equal(path.points[0], origin(2).z)
-
-    def test_sheet_along_path(self):
-        # the quadratic form itself rounds like eps * cosh(r)^2, so the
-        # defect bound has to scale with the largest coordinate reached
-        rng = np.random.default_rng(5)
-        path = simulate_path(origin(2), 20.0, 0.01, rng)
-        scale = float(np.max(path.points[:, 0])) ** 2
-        defect = np.max(np.abs(geometry.minkowski_dot(path.points, path.points) + 1.0))
-        assert defect < 1e-12 * scale
-
     def test_radial_speed_d2(self):
         mean, se = mean_increment_speed(2, 6)
         assert abs(mean - 0.5) < 3 * se
@@ -201,7 +183,7 @@ class TestEnsembleWalk:
             if k == 30:
                 snap = (r, u, integrals.copy())
         assert np.array_equal(res.r, r) and np.array_equal(res.u, u)
-        assert np.array_equal(res.integrals, integrals) and np.array_equal(res.v, v_prev)
+        assert np.array_equal(res.integrals, integrals)
         assert all(np.array_equal(a, b) for a, b in zip(res.snapshots[30], snap))
         assert all(np.array_equal(a, b) for a, b in zip(res.snapshots[0], (r0, u0, 0 * r0)))
         # with a drift and no potential
@@ -212,22 +194,7 @@ class TestEnsembleWalk:
         for _ in range(20):
             r, u = reference_step(r, u, h, rng, drift_fn=drift)
         assert np.array_equal(res.r, r) and np.array_equal(res.u, u)
-        assert np.array_equal(res.integrals, np.zeros(50)) and res.v is None
-
-    def test_continued_walk_is_one_walk(self):
-        # SMC's checkpoints: a walk resumed from its integrals and potential
-        # values is bitwise the walk taken in one go
-        pot = FactorPotential(PotentialSpec(1.0, 1.0, 10.0),
-                              sample_configuration(2, 8.0, 0.3, np.random.default_rng(24)))
-        r0, u0 = origin_state(40, 2)
-        whole = ensemble_walk(r0, u0, 50, 0.01, np.random.default_rng(25), potential=pot)
-        rng = np.random.default_rng(25)
-        part = ensemble_walk(r0, u0, 20, 0.01, rng, potential=pot)
-        part = ensemble_walk(part.r, part.u, 30, 0.01, rng, potential=pot,
-                             integrals=part.integrals, v0=part.v)
-        for a, b in ((whole.r, part.r), (whole.u, part.u),
-                     (whole.integrals, part.integrals), (whole.v, part.v)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(res.integrals, np.zeros(50))
 
 
 class TestRadialOracle:
@@ -255,14 +222,3 @@ class TestRadialOracle:
         _, p = stats.ks_2samp(res.r, oracle)
         assert p > 0.01
 
-
-class TestPathSample:
-    def test_csv_columns(self, tmp_path):
-        rng = np.random.default_rng(14)
-        path = simulate_path(origin(2), 1.0, 0.01, rng)
-        out = tmp_path / "path.csv"
-        path.to_csv(out)
-        header = out.read_text().splitlines()[0]
-        assert header == "t,z_0,z_1,z_2,r"
-        data = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert data.shape == (101, 5)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import distance
 from hyptrap import geometry
 from hyptrap.geometry import (
     GeometryError,
     HPoint,
-    distance,
     minkowski_dot,
     origin,
 )

@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chisquare_poisson
+from conftest import ConstantPotential, chisquare_poisson
 from hyptrap import geometry
 from hyptrap.diffusion import ambient_from_polar, polar_from_ambient
 from hyptrap.geometry import HPoint, origin
 from hyptrap.ppp import (
     Configuration,
-    ConstantPotential,
     FactorPotential,
     PotentialSpec,
     WindowError,
