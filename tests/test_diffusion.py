@@ -11,6 +11,8 @@ from hyptrap.diffusion import (
     polar_from_ambient,
     step_polar,
 )
+from hyptrap import geometry
+from hyptrap.cli import main
 from hyptrap.geometry import origin
 from hyptrap.ppp import FactorPotential, PotentialSpec, sample_configuration
 
@@ -73,6 +75,18 @@ class TestBmStep:
 
 
 class TestSimulatePath:
+    def test_sheet_along_path(self):
+        # the quadratic form itself rounds like eps * cosh(r)^2, so the
+        # defect bound has to scale with the largest coordinate reached
+        rng = np.random.default_rng(5)
+        r0, u0 = polar_from_ambient(origin(2).z[None, :])
+        m = 2000
+        snaps = ensemble_walk(r0, u0, m, 0.01, rng, snapshot_steps=range(m + 1)).snapshots
+        points = np.vstack([ambient_from_polar(*snaps[k][:2]) for k in range(m + 1)])
+        scale = float(np.max(points[:, 0])) ** 2
+        defect = np.max(np.abs(geometry.minkowski_dot(points, points) + 1.0))
+        assert defect < 1e-12 * scale
+
     def test_radial_speed_d2(self):
         mean, se = mean_increment_speed(2, 6)
         assert abs(mean - 0.5) < 3 * se
@@ -158,6 +172,18 @@ def reference_potential(spec, config):
         return np.minimum(spec.v_max, spec.profile(dist).sum(axis=1))
 
     return V
+
+
+class TestPathSample:
+    def test_csv_columns(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d = 2\nT = 1\nh = 0.01\nn_paths = 2\nseed = 14\ndump_paths = 1\n")
+        assert main(["simulate-bm", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out" / "path_000.csv"
+        header = out.read_text().splitlines()[0]
+        assert header == "t,z_0,z_1,z_2,r"
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert data.shape == (101, 5)
 
 
 class TestEnsembleWalk:
