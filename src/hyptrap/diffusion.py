@@ -61,6 +61,16 @@ def _draws(rng, n):
     return [(rng, n)] if isinstance(rng, np.random.Generator) else list(rng)
 
 
+def _row_dot(a, b):
+    """Row sums of a * b over (N, d) arrays, folding the d columns left to
+    right.  Below 8 columns this is bitwise numpy's sum along each row, at a
+    fraction of its per-row cost."""
+    s = a[:, 0] * b[:, 0]
+    for j in range(1, a.shape[1]):
+        s += a[:, j] * b[:, j]
+    return s
+
+
 def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     """Advance a polar-state batch by one geodesic-random-walk step.
 
@@ -74,30 +84,38 @@ def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     `rng` is one generator, or a sequence of (generator, rows) pairs: the
     independent streams walked in lockstep, each drawing its own rows of
     the (N / blocks, d) Gaussian block in order.  That block is tiled over
-    `blocks` equal blocks of paths, which share the draw.  Every operation
-    acts row by row, so each row takes bitwise the step it would take alone
-    from its own state with its generator's state.
+    `blocks` equal blocks of paths, which share the draw; without a drift
+    the draw's geometry (n, sinh n / n and cosh n) is computed once on the
+    block and tiled with it.  Row sums and norms fold the d columns left to
+    right, which is bitwise numpy's reduction along a row below 8 columns.
+    Every operation acts row by row, so each row takes bitwise the step it
+    would take alone from its own state with its generator's state.
     """
     N, d = u.shape
     draws = _draws(rng, N // blocks)
     if sum(n for _, n in draws) * blocks != N:
         raise ValueError("the streams' rows must add up to one block of paths")
     xi = np.concatenate([g.standard_normal((n, d)) for g, n in draws]) * np.sqrt(h)
+    if drift_fn is not None:
+        # the drift gives every row its own xi: nothing is shared from here
+        xi = np.tile(xi, (blocks, 1)) + (h * drift_fn(r))[:, None] * u
+        blocks = 1
+    n = np.sqrt(_row_dot(xi, xi))
+    sinc = np.where(n > 1e-300, np.sinh(n) / np.maximum(n, 1e-300), 1.0)
+    cosh_n = np.cosh(n)
     if blocks > 1:
         xi = np.tile(xi, (blocks, 1))
-    if drift_fn is not None:
-        xi += (h * drift_fn(r))[:, None] * u
-    xi_r = np.sum(xi * u, axis=1)
+        sinc = np.tile(sinc, blocks)
+        cosh_n = np.tile(cosh_n, blocks)
+    xi_r = _row_dot(xi, u)
     xi_perp = xi - xi_r[:, None] * u
-    n = np.linalg.norm(xi, axis=1)
-    sinc = np.where(n > 1e-300, np.sinh(n) / np.maximum(n, 1e-300), 1.0)
-    alpha = np.cosh(n) * np.sinh(r) + sinc * xi_r * np.cosh(r)
+    alpha = cosh_n * np.sinh(r) + sinc * xi_r * np.cosh(r)
     vec = alpha[:, None] * u + sinc[:, None] * xi_perp
-    norm = np.linalg.norm(vec, axis=1)
+    norm = np.sqrt(_row_dot(vec, vec))
     r_new = np.arcsinh(norm)
     u_new = np.where(norm[:, None] > 1e-300, vec / np.maximum(norm, 1e-300)[:, None], u)
     # keep directions exactly unit against slow drift
-    u_new = u_new / np.linalg.norm(u_new, axis=1)[:, None]
+    u_new = u_new / np.sqrt(_row_dot(u_new, u_new))[:, None]
     return r_new, u_new
 
 

@@ -164,9 +164,14 @@ def polar_distances(r, u, ry, uy):
     r (..., n), u (..., n, d) against points ry (..., k), uy (..., k, d)
     give (..., n, k); leading axes broadcast.
     """
-    half_chord = 0.5 * np.sum(
-        (np.asarray(u)[..., :, None, :] - np.asarray(uy)[..., None, :, :]) ** 2, axis=-1
-    )
+    u = np.asarray(u)[..., :, None, :]
+    uy = np.asarray(uy)[..., None, :, :]
+    # fold the d columns left to right: bitwise numpy's sum over the last
+    # axis below 8 columns, without building the (..., n, k, d) difference
+    sq_chord = (u[..., 0] - uy[..., 0]) ** 2
+    for j in range(1, u.shape[-1]):
+        sq_chord += (u[..., j] - uy[..., j]) ** 2
+    half_chord = 0.5 * sq_chord
     r = np.asarray(r)[..., :, None]
     ry = np.asarray(ry)[..., None, :]
     coshd = np.cosh(r - ry) + np.sinh(r) * np.sinh(ry) * half_chord
@@ -218,10 +223,9 @@ class FactorPotential(PotentialField):
                 f"window_radius >= {need:.3f}, have {self.config.window_radius:.3f}"
             )
 
-    def _near_sum(self, r, u):
+    def _near_sum(self, r, u, r_max):
         """Profile sums per query over the prefix of traps its own cut sets
-        (all others add 0)."""
-        r = np.asarray(r, dtype=float)
+        (all others add 0); r_max bounds the radii from above."""
         u = np.asarray(u, dtype=float)
         sums = np.zeros(len(r))
         if not len(r):
@@ -231,7 +235,7 @@ class FactorPotential(PotentialField):
             """Bit length of the cut at each radius: frexp's exponent, 0 for 0."""
             return np.frexp(np.searchsorted(self._ry, x + self.spec.support_radius))[1]
 
-        lo, hi = cut_bits(np.array([r.min(), r.max()]))
+        lo, hi = cut_bits(np.array([r.min(), r_max]))
         if lo == hi:  # cuts grow with r, so every query has this bit length
             groups = [(lo, slice(None))]
         else:
@@ -253,5 +257,7 @@ class FactorPotential(PotentialField):
         return sums
 
     def evaluate_polar(self, r, u):
-        self.check_window(float(np.max(r, initial=0.0)))
-        return np.minimum(self.spec.v_max, self._near_sum(r, u))
+        r = np.asarray(r, dtype=float)
+        r_max = float(np.max(r, initial=0.0))
+        self.check_window(r_max)
+        return np.minimum(self.spec.v_max, self._near_sum(r, u, r_max))

@@ -1,7 +1,8 @@
 """Shared test plumbing: verdict lines that survive output capture, the
 Poisson goodness-of-fit statistic of the PPP-law tests, and the reference
 objects the tests compare the program with: the scalar geodesic distance, a
-constant potential, and an independent radial oracle.
+constant potential, an independent radial oracle, and the walk step and
+polar distance table written with numpy's row reductions.
 
 `radial_oracle_final` is an independent 1-D Euler-Maruyama discretization of the
 radial SDE dr = dB + ((d-1)/2) coth(r) dt, used only to cross-check the full
@@ -11,6 +12,7 @@ sampler's radial statistics.
 import numpy as np
 from scipy import stats
 
+from hyptrap.diffusion import _draws
 from hyptrap.geometry import HPoint, minkowski_dot
 from hyptrap.ppp import PotentialField
 
@@ -93,3 +95,40 @@ def radial_oracle_final(d, r0, T, h, N, rng):
         rc = np.maximum(r, h)
         r = np.maximum(rc + radial_drift(d, rc) * h + sqh * rng.standard_normal(N), h)
     return r
+
+
+def step_polar_reference(r, u, h, rng, drift_fn=None, blocks=1):
+    """`diffusion.step_polar` with numpy's row reductions and the draw's
+    geometry computed on every row."""
+    N, d = u.shape
+    draws = _draws(rng, N // blocks)
+    if sum(n for _, n in draws) * blocks != N:
+        raise ValueError("the streams' rows must add up to one block of paths")
+    xi = np.concatenate([g.standard_normal((n, d)) for g, n in draws]) * np.sqrt(h)
+    if blocks > 1:
+        xi = np.tile(xi, (blocks, 1))
+    if drift_fn is not None:
+        xi += (h * drift_fn(r))[:, None] * u
+    xi_r = np.sum(xi * u, axis=1)
+    xi_perp = xi - xi_r[:, None] * u
+    n = np.linalg.norm(xi, axis=1)
+    sinc = np.where(n > 1e-300, np.sinh(n) / np.maximum(n, 1e-300), 1.0)
+    alpha = np.cosh(n) * np.sinh(r) + sinc * xi_r * np.cosh(r)
+    vec = alpha[:, None] * u + sinc[:, None] * xi_perp
+    norm = np.linalg.norm(vec, axis=1)
+    r_new = np.arcsinh(norm)
+    u_new = np.where(norm[:, None] > 1e-300, vec / np.maximum(norm, 1e-300)[:, None], u)
+    # keep directions exactly unit against slow drift
+    u_new = u_new / np.linalg.norm(u_new, axis=1)[:, None]
+    return r_new, u_new
+
+
+def polar_distances_reference(r, u, ry, uy):
+    """`ppp.polar_distances` with numpy's sum over the (..., n, k, d) difference."""
+    half_chord = 0.5 * np.sum(
+        (np.asarray(u)[..., :, None, :] - np.asarray(uy)[..., None, :, :]) ** 2, axis=-1
+    )
+    r = np.asarray(r)[..., :, None]
+    ry = np.asarray(ry)[..., None, :]
+    coshd = np.cosh(r - ry) + np.sinh(r) * np.sinh(ry) * half_chord
+    return np.arccosh(np.maximum(1.0, coshd))

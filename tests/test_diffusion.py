@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import radial_drift, radial_oracle_final
+from conftest import radial_drift, radial_oracle_final, step_polar_reference
 from hyptrap.diffusion import (
     ambient_from_polar,
     ensemble_walk,
@@ -74,6 +74,61 @@ class TestBmStep:
         assert abs(sq.mean() - 2 * h) < 3 * se + 5 * h**2
 
 
+class ZeroDraws:
+    """A generator stub whose Gaussian draws are all zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def kernel_inputs(d, blocks, seed):
+    """States at radii up to 30, with rows at the origin, and the seeds of
+    two generators walked beside a stream of zero draws."""
+    rng = np.random.default_rng(seed)
+    N = 12 * blocks
+    r = rng.uniform(0.0, 30.0, N)
+    r[::6] = 0.0
+    u = rng.standard_normal((N, d))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return r, u, (seed + 1, seed + 2)
+
+
+def kernel_streams(seeds):
+    g1, g2 = (np.random.default_rng(s) for s in seeds)
+    return [(g1, 5), (ZeroDraws(), 3), (g2, 4)]
+
+
+class TestStepKernel:
+    """`step_polar` against the step written with numpy's row reductions."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    @pytest.mark.parametrize("blocks", [1, 5])
+    @pytest.mark.parametrize("drift", [None, lambda rr: 0.5 - rr])
+    def test_matches_reference_bitwise(self, d, blocks, drift):
+        r0, u0, seeds = kernel_inputs(d, blocks, 30 + d)
+        got = want = (r0, u0)
+        streams, ref_streams = kernel_streams(seeds), kernel_streams(seeds)
+        for _ in range(3):
+            got = step_polar(*got, 0.01, streams, drift_fn=drift, blocks=blocks)
+            want = step_polar_reference(*want, 0.01, ref_streams, drift_fn=drift, blocks=blocks)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        if drift is None:
+            # the zero draws leave the origin rows where they were
+            still = np.isin(np.arange(len(r0)) % 12, [5, 6, 7]) & (r0 == 0.0)
+            assert still.any() and np.all(got[0][still] == 0.0)
+
+    @pytest.mark.parametrize("blocks", [1, 5])
+    def test_eight_columns_within_ulp(self, blocks):
+        # from 8 columns numpy sums a row pairwise, not left to right; a
+        # direction's components are measured in ulps of its unit length,
+        # since those near zero come out of a cancellation
+        r0, u0, seeds = kernel_inputs(8, blocks, 40)
+        got = step_polar(r0, u0, 0.01, kernel_streams(seeds), blocks=blocks)
+        want = step_polar_reference(r0, u0, 0.01, kernel_streams(seeds), blocks=blocks)
+        np.testing.assert_array_max_ulp(got[0], want[0], maxulp=4)
+        assert np.max(np.abs(got[1] - want[1])) <= 4 * np.finfo(float).eps
+
+
 class TestSimulatePath:
     def test_sheet_along_path(self):
         # the quadratic form itself rounds like eps * cosh(r)^2, so the
@@ -140,23 +195,6 @@ class TestSimulatePath:
         assert res.r.mean() < 2.0
 
 
-def reference_step(r, u, h, rng, drift_fn=None):
-    """One geodesic step written out for a single block of paths."""
-    N, d = u.shape
-    xi = rng.standard_normal((N, d)) * np.sqrt(h)
-    if drift_fn is not None:
-        xi += (h * drift_fn(r))[:, None] * u
-    xi_r = np.sum(xi * u, axis=1)
-    xi_perp = xi - xi_r[:, None] * u
-    n = np.linalg.norm(xi, axis=1)
-    sinc = np.where(n > 1e-300, np.sinh(n) / np.maximum(n, 1e-300), 1.0)
-    alpha = np.cosh(n) * np.sinh(r) + sinc * xi_r * np.cosh(r)
-    vec = alpha[:, None] * u + sinc[:, None] * xi_perp
-    norm = np.linalg.norm(vec, axis=1)
-    u_new = np.where(norm[:, None] > 1e-300, vec / np.maximum(norm, 1e-300)[:, None], u)
-    return np.arcsinh(norm), u_new / np.linalg.norm(u_new, axis=1)[:, None]
-
-
 def reference_potential(spec, config):
     """The capped profile sum over the traps with r_y < max(r) + r0, on 2-D arrays."""
     ry, uy = polar_from_ambient(config.points)
@@ -202,7 +240,7 @@ class TestEnsembleWalk:
         integrals = np.zeros(50)
         v_prev = V(r, u)
         for k in range(1, n_steps + 1):
-            r, u = reference_step(r, u, h, rng)
+            r, u = step_polar_reference(r, u, h, rng)
             v_cur = V(r, u)
             integrals += 0.5 * h * (v_prev + v_cur)
             v_prev = v_cur
@@ -218,7 +256,7 @@ class TestEnsembleWalk:
         rng = np.random.default_rng(23)
         r, u = r0, u0
         for _ in range(20):
-            r, u = reference_step(r, u, h, rng, drift_fn=drift)
+            r, u = step_polar_reference(r, u, h, rng, drift_fn=drift)
         assert np.array_equal(res.r, r) and np.array_equal(res.u, u)
         assert np.array_equal(res.integrals, np.zeros(50))
 

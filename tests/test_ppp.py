@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ConstantPotential, chisquare_poisson
+from conftest import ConstantPotential, chisquare_poisson, polar_distances_reference
 from hyptrap import geometry
 from hyptrap.diffusion import ambient_from_polar, polar_from_ambient
 from hyptrap.geometry import HPoint, origin
@@ -352,6 +352,20 @@ class TestPolarDistances:
         D1 = polar_distances(rx, ux, ry, uy)
         D2 = geometry.distance_batch(X, Y)
         assert np.max(np.abs(D1 - D2)) < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", [1, 37])
+    def test_matches_reference_bitwise(self, d, k):
+        rng = np.random.default_rng(11 + d + k)
+        r, ry = rng.uniform(0, 30, 20), rng.uniform(0, 30, k)
+        u, uy = unit_directions(rng, 20, d), unit_directions(rng, k, d)
+        assert np.array_equal(polar_distances(r, u, ry, uy),
+                              polar_distances_reference(r, u, ry, uy))
+        # a leading axis of two query sets against one broadcast trap set
+        r2, u2 = rng.uniform(0, 30, (2, 20)), unit_directions(rng, 40, d).reshape(2, 20, d)
+        got = polar_distances(r2, u2, ry[None], uy[None])
+        assert got.shape == (2, 20, k)
+        assert np.array_equal(got, polar_distances_reference(r2, u2, ry[None], uy[None]))
 
     def test_stable_at_large_radius(self):
         # the ambient representation loses the sheet constraint near r ~ 18;
