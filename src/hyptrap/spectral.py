@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.interpolate import PchipInterpolator
 
 
 class BornDivergenceError(RuntimeError):
@@ -250,6 +249,9 @@ def log_derivative_interpolant(grid, phi):
     The returned callable raises on queries beyond the grid (no silent
     extrapolation); queries below the first cell center clamp to it.
     """
+    # a local import: only full-pipeline and doob-compare need scipy.interpolate
+    from scipy.interpolate import PchipInterpolator
+
     if np.any(np.asarray(phi) <= 0):
         raise ValueError("phi must be strictly positive on its grid")
     interp = PchipInterpolator(grid, np.log(np.asarray(phi, dtype=float)))

@@ -4,7 +4,6 @@ and the weighted two-sample Kolmogorov-Smirnov test."""
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 
 def effective_sample_size(weights):
@@ -44,6 +43,9 @@ def weighted_ks_2samp(x1, w1, x2, w2):
     The statistic is the sup distance between the weighted empirical CDFs;
     the p-value uses the Kolmogorov asymptotic with effective sample sizes.
     """
+    # a local import: only full-pipeline and doob-compare need scipy.special
+    from scipy import special
+
     grid = np.concatenate([x1, x2])
     d = float(np.max(np.abs(weighted_cdf(x1, w1, grid) - weighted_cdf(x2, w2, grid))))
     n1 = effective_sample_size(w1)

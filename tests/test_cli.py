@@ -331,12 +331,25 @@ def test_console_script_is_main():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # the commands need scipy.special, not the much larger scipy.stats
+    # every command starts on numpy and scipy.linalg alone: importing the CLI
+    # and building a sampled Poisson scene load no other scipy subpackage
+    # (scipy.special and scipy.interpolate load inside the two functions that
+    # full-pipeline and doob-compare reach)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = "import sys, hyptrap.cli; print('scipy.stats' in sys.modules)"
+    cfg = Path(cli.__file__).parents[2] / "bench" / "workloads" / "poisson-rho.cfg"
+    code = f"""
+import sys
+heavy = ("scipy.integrate", "scipy.interpolate", "scipy.special",
+         "scipy.optimize", "scipy.stats")
+from hyptrap import cli
+print(sorted(m for m in heavy if m in sys.modules))
+cfg = cli.resolve_config(cli.parse_config({str(cfg)!r}))
+_, config, _ = cli.build_scene(cfg)
+print(len(config) > 0, sorted(m for m in heavy if m in sys.modules))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "False\n"
+    assert out == "[]\nTrue []\n"
 
 
 def test_every_config_key_is_read():
