@@ -124,6 +124,18 @@ def path_budget(cfg, horizon):
     return start + 0.5 * (cfg["d"] - 1) * horizon + 6.0 * np.sqrt(horizon) + 5.0
 
 
+def mean_count(cfg, window):
+    """The mean trap count of the PPP in the window; refuse a scene too large
+    to sample before drawing any of it."""
+    mean = cfg["kappa"] * ball_volume(cfg["d"], window)
+    if mean > 1e7:
+        raise ConfigError(
+            f"sampled PPP in this window has mean count {mean:.3g}; "
+            "shrink window_radius, kappa or the horizon"
+        )
+    return mean
+
+
 def build_scene(cfg, rng=None):
     """Planted + optionally sampled configuration, and its factor potential."""
     d = cfg["d"]
@@ -131,15 +143,14 @@ def build_scene(cfg, rng=None):
     window = cfg["window_radius"]
     if window <= 0:
         window = path_budget(cfg, horizon) + cfg["r0"]
+    farthest = max(map(abs, cfg["planted"]), default=0.0)
+    if farthest > window:
+        raise ConfigError(f"planted trap at radius {farthest:g} lies outside "
+                          f"window_radius {window:g}")
     planted = [canonical_axis_point(d, r).z for r in cfg["planted"]]
     pts = np.asarray(planted).reshape(-1, d + 1)
     if cfg["kappa"] > 0:
-        mean = cfg["kappa"] * ball_volume(d, window)
-        if mean > 1e7:
-            raise ConfigError(
-                f"sampled PPP in this window has mean count {mean:.3g}; "
-                "shrink window_radius, kappa or the horizon"
-            )
+        mean_count(cfg, window)
         sampled = sample_configuration(d, window, cfg["kappa"],
                                        rng or np.random.default_rng(cfg["seed"]))
         if len(sampled):
@@ -198,11 +209,11 @@ def write_manifest(out_dir, command, cfg, extra=None):
 def cmd_sample_ppp(cfg, out):
     rng = np.random.default_rng(cfg["seed"])
     window = cfg["window_radius"] or 5.0
+    mean = mean_count(cfg, window)
     config = sample_configuration(cfg["d"], window, cfg["kappa"], rng)
     (out / "configuration.json").write_text(config.to_json() + "\n")
     write_csv(out / "summary.csv", "n_points,window_radius,kappa,mean_count",
-              [(len(config), float(window), cfg["kappa"],
-                cfg["kappa"] * ball_volume(cfg["d"], window))])
+              [(len(config), float(window), cfg["kappa"], mean)])
     return {}
 
 
@@ -365,14 +376,9 @@ def cmd_contour_check(cfg, out):
 
 
 def cmd_fock_check(cfg, out):
-    reports = []
-    for v in cfg["fock_volumes"]:
-        radius = fock.radius_for_volume(cfg["d"], v)
-        region = fock.BallRegion(geometry.origin(cfg["d"]), radius)
-        for name in ("count", "void"):
-            rep = fock.isometry_check(name, region, cfg["d"], n_max=cfg["n_max"],
-                                      mc_samples=cfg["fock_samples"], seed=cfg["seed"])
-            reports.append(rep)
+    reports = [fock.isometry_check(name, cfg["d"], v, n_max=cfg["n_max"],
+                                   mc_samples=cfg["fock_samples"], seed=cfg["seed"])
+               for v in cfg["fock_volumes"] for name in fock.FUNCTIONALS]
     with open(out / "fock.json", "w") as fh:
         json.dump(reports, fh, indent=2, sort_keys=True)
         fh.write("\n")

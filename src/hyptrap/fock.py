@@ -1,175 +1,46 @@
-"""Chaos expansions of explicit Poisson functionals and the Fock isometry.
+"""The Fock isometry for two Poisson functionals of the count in a ball.
 
-For a functional F of the configuration restricted to a geodesic ball C, the
-kernels f_n = E[D^n F]/n! are constant on C^n for the supported library
-(count, centered count, void indicator, exp(-count), constants), so the
-symmetric-Fock norm sum_n n! ||f_n||^2 has a closed form.  Monte Carlo over
-configurations confirms both the kernels and the isometry
-||F||_{L^2(mu)}^2 = sum_n n! ||f_n||^2.
+For a functional F of the configuration through its count N in a ball C of
+volume v, the chaos kernels f_n = E[D^n F]/n! are constant on C^n, so the
+symmetric-Fock norm sum_n n! ||f_n||^2 = sum_n n! f_n(v)^2 v^n has a closed
+form.  Monte Carlo over N ~ Poisson(v) checks the isometry
+||F||_{L^2(mu)}^2 = sum_n n! ||f_n||^2 (Last and Penrose, Lectures on the
+Poisson Process, 2017, ch. 18).
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from hyptrap import geometry
-from hyptrap.geometry import HPoint
-from hyptrap.ppp import ball_volume, sample_configuration
+from hyptrap.ppp import ball_volume
 
-FUNCTIONALS = ("count", "centered_count", "void", "exp_count", "one")
-
-
-@dataclass(frozen=True)
-class BallRegion:
-    center: HPoint
-    radius: float
-
-    def volume(self, d):
-        return ball_volume(d, self.radius)
-
-    def count_inside(self, config):
-        if len(config) == 0:
-            return 0
-        dist = geometry.distance_batch(self.center.z[None, :], config.points)[0]
-        return int(np.sum(dist <= self.radius))
+# name -> (F as a function of the count N in C, f_n(v) on C^n)
+FUNCTIONALS = {
+    "count": (lambda n: n.astype(float),
+              lambda v, n: {0: v, 1: 1.0}.get(n, 0.0)),
+    "void": (lambda n: (n == 0).astype(float),
+             lambda v, n: (-1.0) ** n * math.exp(-v) / math.factorial(n)),
+}
 
 
-@dataclass
-class ChaosKernels:
-    """Closed-form chaos kernels of a library functional on a ball region."""
-
-    functional: str
-    region: BallRegion
-    volume: float
-    f0: float
-    kernel_values: list       # constant value of f_n on C^n, n = 1..n_max
-    higher_order_norms: list  # n! ||f_n||^2 for n = 1..n_max
-
-    @property
-    def fock_norm_sq(self):
-        return self.f0**2 + sum(self.higher_order_norms)
-
-
-def _evaluate(functional, n_inside):
-    n = np.asarray(n_inside)
-    if functional == "count":
-        return n.astype(float)
-    if functional == "centered_count":
-        raise ValueError("centered_count needs the volume; use _evaluate_v")
-    if functional == "void":
-        return (n == 0).astype(float)
-    if functional == "exp_count":
-        return np.exp(-n.astype(float))
-    if functional == "one":
-        return np.ones_like(n, dtype=float)
-    raise ValueError(f"unknown functional {functional!r}")
-
-
-def _evaluate_v(functional, n_inside, v):
-    if functional == "centered_count":
-        return np.asarray(n_inside, dtype=float) - v
-    return _evaluate(functional, n_inside)
-
-
-def _kernel_value(functional, v, n):
-    """The constant value of f_n = E[D^n F]/n! on C^n."""
-    if functional == "count":
-        return {0: v, 1: 1.0}.get(n, 0.0)
-    if functional == "centered_count":
-        return {0: 0.0, 1: 1.0}.get(n, 0.0)
-    if functional == "void":
-        return (-1.0) ** n * math.exp(-v) / math.factorial(n)
-    if functional == "exp_count":
-        c = 1.0 / math.e - 1.0
-        return c**n * math.exp(v * c) / math.factorial(n)
-    if functional == "one":
-        return 1.0 if n == 0 else 0.0
-    raise ValueError(f"unknown functional {functional!r}")
-
-
-def chaos_kernels(functional, region: BallRegion, d, n_max=12, mc_samples=0,
-                  seed=0) -> ChaosKernels:
-    """Closed-form kernels, optionally cross-checked by Monte Carlo.
-
-    With mc_samples > 0 the add-points alternating sum defining E[D^n F] is
-    estimated by simulation for n <= 2 and must agree with the closed form
-    within three standard errors.
-    """
-    if functional not in FUNCTIONALS:
-        raise ValueError(f"unknown functional {functional!r}; pick from {FUNCTIONALS}")
-    v = region.volume(d)
-    values = [_kernel_value(functional, v, n) for n in range(1, n_max + 1)]
-    # ||f_n||^2 = value^2 * v^n for a constant kernel on C^n
-    norms = [
-        math.factorial(n) * values[n - 1] ** 2 * v**n for n in range(1, n_max + 1)
-    ]
-    kernels = ChaosKernels(functional, region, v, _kernel_value(functional, v, 0),
-                           values, norms)
-    if mc_samples > 0:
-        _confirm_kernels(kernels, d, mc_samples, seed)
-    return kernels
-
-
-def _confirm_kernels(kernels: ChaosKernels, d, mc_samples, seed):
-    """MC check of the alternating-sum kernel formula for n = 0, 1, 2."""
-    rng = np.random.default_rng(seed)
-    v = kernels.volume
-    counts = rng.poisson(v, size=mc_samples)
-    for n in range(0, 3):
-        # adding j points of C to omega shifts the count inside C by j
-        est_terms = []
-        for j_size in range(n + 1):
-            sign = (-1.0) ** (n - j_size)
-            n_subsets = math.comb(n, j_size)
-            vals = _evaluate_v(kernels.functional, counts + j_size, v)
-            est_terms.append((sign * n_subsets * vals))
-        samples = np.sum(est_terms, axis=0) / math.factorial(n)
-        mean = float(np.mean(samples))
-        se = float(np.std(samples, ddof=1) / np.sqrt(mc_samples))
-        target = kernels.f0 if n == 0 else kernels.kernel_values[n - 1]
-        if abs(mean - target) > 3.0 * max(se, 1e-12):
-            raise RuntimeError(
-                f"kernel MC check failed: n={n}, closed form {target}, "
-                f"MC {mean} +- {se}"
-            )
-
-
-def isometry_check(functional, region: BallRegion, d, n_max=12, mc_samples=100_000,
-                   seed=0, use_spatial_sampler=False):
-    """Compare ||F||^2_{L^2(mu)} (Monte Carlo) against sum_n n! ||f_n||^2.
-
-    The library functionals depend on the configuration only through the
-    count in C; by default counts are drawn directly from Poisson(vol(C)),
-    while use_spatial_sampler=True exercises the full spatial PPP sampler
-    (region centered at the origin).
-    """
-    kernels = chaos_kernels(functional, region, d, n_max=n_max)
-    v = kernels.volume
-    rng = np.random.default_rng(seed)
-    if use_spatial_sampler:
-        counts = np.empty(mc_samples, dtype=int)
-        for i in range(mc_samples):
-            config = sample_configuration(d, region.radius, 1.0, rng)
-            counts[i] = region.count_inside(config)
-    else:
-        counts = rng.poisson(v, size=mc_samples)
-    sq = _evaluate_v(functional, counts, v) ** 2
+def isometry_check(functional, d, volume, n_max=12, mc_samples=100_000, seed=0):
+    """Compare ||F||^2_{L^2(mu)} (Monte Carlo) against sum_n n! ||f_n||^2 on
+    the ball about o whose volume `radius_for_volume` brings nearest `volume`."""
+    F, kernel = FUNCTIONALS[functional]
+    v = ball_volume(d, radius_for_volume(d, volume))
+    norms = [math.factorial(n) * kernel(v, n) ** 2 * v**n for n in range(1, n_max + 1)]
+    rhs = kernel(v, 0) ** 2 + sum(norms)
+    sq = F(np.random.default_rng(seed).poisson(v, size=mc_samples)) ** 2
     lhs = float(np.mean(sq))
-    lhs_se = float(np.std(sq, ddof=1) / np.sqrt(mc_samples))
-    rhs = kernels.fock_norm_sq
-    tail = kernels.higher_order_norms[-1] if kernels.higher_order_norms else 0.0
     return {
         "functional": functional,
         "v": v,
         "lhs": lhs,
-        "lhs_stderr": lhs_se,
+        "lhs_stderr": float(np.std(sq, ddof=1) / np.sqrt(mc_samples)),
         "rhs": rhs,
         "rel_error": abs(lhs - rhs) / rhs if rhs > 0 else abs(lhs - rhs),
         "n_max": n_max,
-        "tail_bound": tail,
+        "tail_bound": norms[-1] if norms else 0.0,
     }
 
 

@@ -2,7 +2,7 @@
 
 Points live on the upper sheet {<z,z>_J = -1, z_0 >= 1} of the quadric for
 the bilinear form J = diag(-1, 1, ..., 1).  Scalar operations take HPoint
-wrappers; the `*_batch` helpers operate on (N, d+1) arrays.  The path
+wrappers; `radius_batch` operates on (N, d+1) arrays.  The path
 samplers do not walk in these coordinates: `diffusion` keeps a polar state
 (radius, direction) and converts at the ends.
 """
@@ -49,7 +49,8 @@ class HPoint:
         object.__setattr__(self, "z", z)
         if z.ndim != 1 or z.shape[0] < 3:
             raise GeometryError("HPoint needs a flat coordinate array of length d+1 >= 3")
-        if abs(minkowski_dot(z, z) + 1.0) > SHEET_TOL:
+        # -z_0^2 + |z_perp|^2 cancels terms of size z.z, and rounds like them
+        if abs(minkowski_dot(z, z) + 1.0) > SHEET_TOL * (z @ z):
             raise GeometryError(f"point off the sheet: <z,z>_J = {minkowski_dot(z, z)}")
         if z[0] < 1.0 - SHEET_TOL:
             raise GeometryError("point not on the upper sheet (z_0 < 1)")
@@ -67,9 +68,3 @@ class HPoint:
 def radius_batch(X):
     """Geodesic distance to o for each row."""
     return np.arccosh(np.maximum(1.0, X[:, 0]))
-
-
-def distance_batch(X, Y):
-    """Pairwise distances between rows of X (N, d+1) and rows of Y (m, d+1)."""
-    inner = X[:, 0][:, None] * Y[:, 0][None, :] - X[:, 1:] @ Y[:, 1:].T
-    return np.arccosh(np.maximum(1.0, inner))

@@ -1,8 +1,9 @@
 """Shared test plumbing: verdict lines that survive output capture, the
 Poisson goodness-of-fit statistic of the PPP-law tests, and the reference
-objects the tests compare the program with: the scalar geodesic distance, a
-constant potential, an independent radial oracle, and the walk step and
-polar distance table written with numpy's row reductions.
+objects the tests compare the program with: the scalar geodesic distance and
+its pairwise table over ambient coordinates, a constant potential, an
+independent radial oracle, and the walk step and polar distance table
+written with numpy's row reductions.
 
 `radial_oracle_final` is an independent 1-D Euler-Maruyama discretization of the
 radial SDE dr = dB + ((d-1)/2) coth(r) dt, used only to cross-check the full
@@ -67,6 +68,12 @@ def chisquare_poisson(counts, mean, min_expected=5.0):
 def distance(x: HPoint, y: HPoint) -> float:
     """Geodesic distance arccosh(-<x,y>_J)."""
     return float(np.arccosh(np.maximum(1.0, -minkowski_dot(x.z, y.z))))
+
+
+def distance_batch(X, Y):
+    """Pairwise distances between rows of X (N, d+1) and rows of Y (m, d+1)."""
+    inner = X[:, 0][:, None] * Y[:, 0][None, :] - X[:, 1:] @ Y[:, 1:].T
+    return np.arccosh(np.maximum(1.0, inner))
 
 
 class ConstantPotential(PotentialField):

@@ -219,11 +219,8 @@ def test_criterion_8_fock_isometry():
     ok = True
     details = []
     for v in (0.5, 1.0, 2.0):
-        radius = fock.radius_for_volume(2, v)
-        region = fock.BallRegion(origin(2), radius)
         for name in ("count", "void"):
-            rep = fock.isometry_check(name, region, 2, mc_samples=100_000,
-                                      seed=0)
+            rep = fock.isometry_check(name, 2, v, mc_samples=100_000, seed=0)
             details.append(f"{name}@v={v:g}: rel={rep['rel_error']:.4f}")
             ok = ok and rep["rel_error"] < 0.02
     verdict(8, "Fock isometry", ok, "; ".join(details))

@@ -236,6 +236,30 @@ class TestCommands:
             assert "one trap at o" in capsys.readouterr().err
             assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("window", [60, 800])
+    def test_sample_ppp_refuses_scene_too_large(self, tmp_path, capsys, window):
+        # mean count 1.8e25 (window 60) and inf (800): refused before any draw
+        path = write_config(tmp_path, f"kappa = 0.05\nwindow_radius = {window}\n")
+        out = tmp_path / "out"
+        assert main(["sample-ppp", "--config", path, "--out", str(out)]) == 2
+        assert "mean count" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_planted_trap_outside_window(self, tmp_path, capsys):
+        path = write_config(tmp_path, FAST + "planted = 0,8\nwindow_radius = 5\n")
+        out = tmp_path / "out"
+        assert main(["estimate-rho", "--config", path, "--out", str(out)]) == 2
+        assert "outside window_radius" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_phi_profile_far_probe(self, tmp_path):
+        # cosh 2r ~ 2.4e8 at r = 10: the probe's <z,z>_J rounds past 1e-8
+        path = write_config(tmp_path, FAST + "probes = 0,10\n")
+        out = tmp_path / "out"
+        assert main(["phi-profile", "--config", path, "--out", str(out)]) == 0
+        rows = (out / "phi_ratio.csv").read_text().splitlines()
+        assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0, 10.0]
+
     def test_window_violation_surfaces(self, tmp_path, capsys):
         # a window too small for the declared horizons must fail loudly
         path = write_config(tmp_path, FAST + "window_radius = 1.5\n")

@@ -5,18 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hyptrap.fock import (
-    BallRegion,
-    chaos_kernels,
-    isometry_check,
-    radius_for_volume,
-)
-from hyptrap.geometry import origin
+from hyptrap.fock import FUNCTIONALS, isometry_check, radius_for_volume
 from hyptrap.ppp import ball_volume
-
-
-def region_with_volume(d, v):
-    return BallRegion(origin(d), radius_for_volume(d, v))
 
 
 class TestRadiusForVolume:
@@ -29,97 +19,61 @@ class TestRadiusForVolume:
 
 class TestChaosKernels:
     def test_count_kernels(self):
-        region = region_with_volume(2, 2.0)
-        k = chaos_kernels("count", region, 2)
-        assert abs(k.f0 - 2.0) < 1e-9
-        assert k.kernel_values[0] == 1.0
-        assert all(val == 0.0 for val in k.kernel_values[1:])
+        _, kernel = FUNCTIONALS["count"]
+        assert kernel(2.0, 0) == 2.0
+        assert kernel(2.0, 1) == 1.0
+        assert all(kernel(2.0, n) == 0.0 for n in range(2, 13))
         # Fock norm v^2 + 1! * 1^2 * v = v^2 + v
-        assert abs(k.fock_norm_sq - (4.0 + 2.0)) < 1e-8
-
-    def test_centered_count_starts_at_order_one(self):
-        region = region_with_volume(2, 1.5)
-        k = chaos_kernels("centered_count", region, 2)
-        assert k.f0 == 0.0
-        assert k.higher_order_norms[0] > 0.0
+        assert abs(isometry_check("count", 2, 2.0, mc_samples=2)["rhs"] - 6.0) < 1e-8
 
     def test_void_kernels(self):
         v = 1.0
-        region = region_with_volume(2, v)
-        k = chaos_kernels("void", region, 2)
+        _, kernel = FUNCTIONALS["void"]
         for n in range(1, 6):
             expected = (-1.0) ** n * math.exp(-v) / math.factorial(n)
-            assert abs(k.kernel_values[n - 1] - expected) < 1e-12
+            assert abs(kernel(v, n) - expected) < 1e-12
         # sum_n n! ||f_n||^2 = e^{-2v} sum v^n/n! = e^{-v}
-        assert abs(k.fock_norm_sq - math.exp(-v)) < 1e-8
-
-    def test_constant_functional(self):
-        region = region_with_volume(2, 1.0)
-        k = chaos_kernels("one", region, 2)
-        assert k.f0 == 1.0
-        assert all(val == 0.0 for val in k.kernel_values)
-        assert k.fock_norm_sq == 1.0
+        rhs = isometry_check("void", 2, v, mc_samples=2)["rhs"]
+        assert abs(rhs - math.exp(-v)) < 1e-8
 
     def test_unknown_functional(self):
-        region = region_with_volume(2, 1.0)
-        with pytest.raises(ValueError):
-            chaos_kernels("median", region, 2)
+        with pytest.raises(KeyError):
+            isometry_check("median", 2, 1.0, mc_samples=2)
 
     def test_mc_confirmation_passes(self):
-        region = region_with_volume(2, 1.0)
-        for name in ("count", "void", "exp_count"):
-            chaos_kernels(name, region, 2, mc_samples=50_000, seed=0)
+        # f_n = E[D^n F]/n!, and adding j points of C to the configuration
+        # shifts its count in C by j: D^n F(N) = sum_j (-1)^(n-j) C(n,j) F(N+j)
+        v = ball_volume(2, radius_for_volume(2, 1.0))
+        counts = np.random.default_rng(0).poisson(v, size=50_000)
+        for name, (F, kernel) in FUNCTIONALS.items():
+            for n in range(3):
+                samples = sum((-1.0) ** (n - j) * math.comb(n, j) * F(counts + j)
+                              for j in range(n + 1)) / math.factorial(n)
+                se = samples.std(ddof=1) / np.sqrt(len(samples))
+                assert abs(samples.mean() - kernel(v, n)) <= 3.0 * max(se, 1e-12), (name, n)
 
 
 class TestIsometryCheck:
     def test_count_second_moment(self):
         # E N^2 = v^2 + v = 6 at v=2; rhs matches exactly, lhs by MC
-        rep = isometry_check("count", region_with_volume(2, 2.0), 2,
-                             mc_samples=100_000, seed=1)
+        rep = isometry_check("count", 2, 2.0, mc_samples=100_000, seed=1)
         assert abs(rep["rhs"] - 6.0) < 1e-8
         assert abs(rep["lhs"] - 6.0) < 3 * rep["lhs_stderr"]
 
     def test_void_probability(self):
-        rep = isometry_check("void", region_with_volume(2, 1.0), 2,
-                             mc_samples=100_000, seed=2)
+        rep = isometry_check("void", 2, 1.0, mc_samples=100_000, seed=2)
         assert abs(rep["rhs"] - math.exp(-1.0)) < 1e-8
         assert abs(rep["lhs"] - math.exp(-1.0)) < 3 * rep["lhs_stderr"]
 
-    def test_constant(self):
-        rep = isometry_check("one", region_with_volume(2, 1.0), 2,
-                             mc_samples=1000, seed=3)
-        assert rep["lhs"] == 1.0
-        assert rep["rhs"] == 1.0
-        assert rep["rel_error"] == 0.0
-
     def test_two_percent_across_library(self):
         for v in (0.5, 1.0, 2.0):
-            region = region_with_volume(2, v)
-            for name in ("count", "centered_count", "void", "exp_count"):
-                rep = isometry_check(name, region, 2, mc_samples=100_000,
-                                     seed=4)
+            for name in FUNCTIONALS:
+                rep = isometry_check(name, 2, v, mc_samples=100_000, seed=4)
                 assert rep["rel_error"] < 0.02, (name, v, rep)
 
-    def test_spatial_sampler_agrees(self):
-        # exercise the full hyperbolic PPP sampler instead of direct Poisson
-        rep = isometry_check("void", region_with_volume(2, 1.0), 2,
-                             mc_samples=3000, seed=5, use_spatial_sampler=True)
-        assert abs(rep["lhs"] - rep["rhs"]) < 4 * max(rep["lhs_stderr"], 1e-3)
-
     def test_report_fields(self):
-        rep = isometry_check("exp_count", region_with_volume(2, 0.5), 2,
-                             mc_samples=2000, seed=6)
+        rep = isometry_check("void", 2, 0.5, mc_samples=2000, seed=6)
         assert set(rep) == {"functional", "v", "lhs", "lhs_stderr", "rhs",
                             "rel_error", "n_max", "tail_bound"}
+        assert rep["v"] == ball_volume(2, radius_for_volume(2, 0.5))
         assert rep["tail_bound"] < 1e-10  # factorial decay at n_max=12
-
-
-class TestBallRegion:
-    def test_count_inside(self):
-        from hyptrap.ppp import Configuration
-
-        region = BallRegion(origin(2), 1.0)
-        near = np.array([np.cosh(0.5), np.sinh(0.5), 0.0])
-        far = np.array([np.cosh(2.0), 0.0, np.sinh(2.0)])
-        config = Configuration(np.vstack([near, far]), 5.0, 0.0, 2)
-        assert region.count_inside(config) == 1

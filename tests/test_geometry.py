@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import distance
+from conftest import distance, distance_batch
 from hyptrap import geometry
 from hyptrap.geometry import (
     GeometryError,
@@ -52,6 +52,19 @@ class TestHPoint:
         with pytest.raises(GeometryError):
             HPoint(np.array([-1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_far_points_on_sheet(self, d):
+        # <z,z>_J rounds like z.z ~ cosh 2r, far above 1e-8 once r passes ~9.2
+        rng = np.random.default_rng(d)
+        for r in np.linspace(0.0, 300.0, 3001):
+            u = rng.standard_normal(d)
+            u /= np.linalg.norm(u)
+            HPoint(np.concatenate([[np.cosh(r)], np.sinh(r) * u]))
+            # a point inside the light cone stays off the sheet at any radius
+            if r > 0.0:
+                with pytest.raises(GeometryError, match="off the sheet"):
+                    HPoint(np.concatenate([[np.cosh(r)], 0.5 * np.sinh(r) * u]))
+
 
 class TestDistance:
     def test_coincident(self):
@@ -88,8 +101,7 @@ class TestBatchedKernels:
         rng = np.random.default_rng(14)
         xs = [random_point(3, rng) for _ in range(10)]
         ys = [random_point(3, rng) for _ in range(7)]
-        D = geometry.distance_batch(np.array([p.z for p in xs]),
-                                    np.array([p.z for p in ys]))
+        D = distance_batch(np.array([p.z for p in xs]), np.array([p.z for p in ys]))
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 assert abs(D[i, j] - distance(x, y)) < 1e-10

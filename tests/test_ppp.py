@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ConstantPotential, chisquare_poisson, polar_distances_reference
+from conftest import (
+    ConstantPotential,
+    chisquare_poisson,
+    distance_batch,
+    polar_distances_reference,
+)
 from hyptrap import geometry
 from hyptrap.diffusion import ambient_from_polar, polar_from_ambient
 from hyptrap.geometry import HPoint, origin
@@ -126,6 +131,15 @@ class TestSampleConfiguration:
         counts = [len(sample_configuration(2, 2.0, 1.0, rng)) for _ in range(10_000)]
         _, p = chisquare_poisson(np.asarray(counts), mean)
         assert p > 0.01
+
+    def test_void_probability(self):
+        # P(no point in the window) = exp(-kappa vol(B)), here with vol(B) = 1
+        rng = np.random.default_rng(5)
+        R = math.acosh(1.0 + 0.5 / math.pi)
+        void = np.array([len(sample_configuration(2, R, 1.0, rng)) == 0
+                         for _ in range(3000)], dtype=float)
+        se = void.std(ddof=1) / np.sqrt(len(void))
+        assert abs(void.mean() - math.exp(-ball_volume(2, R))) < 4 * max(se, 1e-3)
 
     def test_disjoint_annuli_independent(self):
         rng = np.random.default_rng(4)
@@ -401,7 +415,7 @@ class TestPolarDistances:
         X = np.column_stack([np.cosh(rx), np.sinh(rx)[:, None] * ux])
         Y = np.column_stack([np.cosh(ry), np.sinh(ry)[:, None] * uy])
         D1 = polar_distances(rx, ux, ry, uy)
-        D2 = geometry.distance_batch(X, Y)
+        D2 = distance_batch(X, Y)
         assert np.max(np.abs(D1 - D2)) < 1e-9
 
     @pytest.mark.parametrize("d", [2, 3])
