@@ -46,18 +46,10 @@ DEFAULTS = {
     "probes": [0.0, 0.5, 1.0, 2.0, 4.0],
     "r_max": 30.0,
     "m_cells": 3000,
-    "n_quad": 64,
-    "born_kmax": 60,
-    "born_z_im": 0.15,
     "fock_volumes": [0.5, 1.0, 2.0],
-    "fock_samples": 100_000,
-    "n_max": 12,
     "seed": 0,
     "workers": 1,
     "dump_paths": 0,
-    "ks_threshold": 0.01,
-    "rho_tolerance": 0.02,
-    "ratio_sigma": 4.0,
 }
 
 
@@ -110,18 +102,22 @@ def resolve_config(overrides, cli_seed=None, cli_workers=None):
     # the scene's and the oracle's own bounds
     for keys, check in ((("a", "r0", "vmax"), PotentialSpec),
                         (("kappa",), check_intensity),
-                        (("r_max", "m_cells"), spectral.check_grid)):
+                        (("r_max", "m_cells"), spectral.check_grid),
+                        (("fock_volumes",), fock.check_volumes)):
         try:
             check(*(cfg[k] for k in keys))
         except ValueError as exc:
-            raise ConfigError(", ".join(f"{k} = {cfg[k]:g}" for k in keys) + f": {exc}")
+            given = (f"{k} = " + ",".join(f"{x:g}" for x in np.atleast_1d(cfg[k])) for k in keys)
+            raise ConfigError(", ".join(given) + f": {exc}")
     return cfg
 
 
-def path_budget(cfg, horizon):
-    """Geodesic radius the paths can plausibly reach by the horizon."""
-    start = max(cfg["probes"]) if cfg["probes"] else 0.0
-    return start + 0.5 * (cfg["d"] - 1) * horizon + 6.0 * np.sqrt(horizon) + 5.0
+def _check(rule, *args):
+    """A command's own rule on the config, checked before simulating: exit 2."""
+    try:
+        rule(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def mean_count(cfg, window):
@@ -136,23 +132,31 @@ def mean_count(cfg, window):
     return mean
 
 
-def build_scene(cfg, rng=None):
-    """Planted + optionally sampled configuration, and its factor potential."""
-    d = cfg["d"]
-    horizon = max([cfg["T"]] + list(cfg["t_grid"]))
+def scene_window(cfg):
+    """The window radius (if 0, r0 past where the paths plausibly reach by the
+    horizon); refuses a planted trap outside it and a scene too large to draw."""
     window = cfg["window_radius"]
     if window <= 0:
-        window = path_budget(cfg, horizon) + cfg["r0"]
+        horizon = max([cfg["T"]] + list(cfg["t_grid"]))
+        window = (max(cfg["probes"], default=0.0) + 0.5 * (cfg["d"] - 1) * horizon
+                  + 6.0 * np.sqrt(horizon) + 5.0 + cfg["r0"])
     farthest = max(map(abs, cfg["planted"]), default=0.0)
     if farthest > window:
         raise ConfigError(f"planted trap at radius {farthest:g} lies outside "
                           f"window_radius {window:g}")
+    if cfg["kappa"] > 0:
+        mean_count(cfg, window)
+    return window
+
+
+def build_scene(cfg):
+    """Planted + optionally sampled configuration, and its factor potential."""
+    d = cfg["d"]
+    window = scene_window(cfg)
     planted = [canonical_axis_point(d, r).z for r in cfg["planted"]]
     pts = np.asarray(planted).reshape(-1, d + 1)
     if cfg["kappa"] > 0:
-        mean_count(cfg, window)
-        sampled = sample_configuration(d, window, cfg["kappa"],
-                                       rng or np.random.default_rng(cfg["seed"]))
+        sampled = sample_configuration(d, window, cfg["kappa"], np.random.default_rng(cfg["seed"]))
         if len(sampled):
             pts = np.vstack([pts, sampled.points]) if len(pts) else sampled.points
     config = Configuration(pts, window, cfg["kappa"], d)
@@ -179,7 +183,7 @@ def write_csv(path, header, rows):
                 for x in row) + "\n")
 
 
-def write_manifest(out_dir, command, cfg, extra=None):
+def write_manifest(out_dir, command, cfg, results):
     # worker count is an execution detail like wall time: it never affects the
     # numbers, so it stays out of the manifest to keep reruns byte-identical
     params = {k: v for k, v in cfg.items() if k != "workers"}
@@ -193,9 +197,8 @@ def write_manifest(out_dir, command, cfg, extra=None):
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
+        "results": results,
     }
-    if extra:
-        manifest.update(extra)
     with open(Path(out_dir) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -258,20 +261,6 @@ def _write_rho(out, est):
               [(est.rho_hat, est.rho_stderr, int(est.diagnostics["flagged"]))])
 
 
-def _check_rho_horizons(cfg):
-    """The decay-rate fit needs three distinct horizons; fail before simulating."""
-    if len(set(cfg["t_grid"])) < 3:
-        raise ConfigError(f"t_grid needs at least three distinct horizons to fit a "
-                          f"decay rate, got {cfg['t_grid']}")
-
-
-def _check_marginal_time(cfg):
-    """The Q-marginal is read before every horizon; fail before simulating."""
-    if cfg["marginal_time"] >= min(cfg["t_grid"], default=0.0):
-        raise ConfigError(f"marginal_time {cfg['marginal_time']:g} must precede every "
-                          f"horizon in t_grid, got {cfg['t_grid']}")
-
-
 def walk_origin(cfg, potential, T, probes=(), snapshot_times=()):
     """Walk o and every probe off o (probes are radii on the e_1 axis) as one
     fused ensemble to T on the config's seed.  Returns the ensemble from o and
@@ -287,7 +276,7 @@ def walk_origin(cfg, potential, T, probes=(), snapshot_times=()):
 
 
 def cmd_estimate_rho(cfg, out):
-    _check_rho_horizons(cfg)
+    _check(feynman_kac.check_horizons, cfg["t_grid"])
     spec, config, potential = build_scene(cfg)
     base, _ = walk_origin(cfg, potential, max(cfg["t_grid"]), snapshot_times=cfg["t_grid"])
     est = feynman_kac.estimate_rho(base, cfg["t_grid"])
@@ -307,7 +296,7 @@ def cmd_phi_profile(cfg, out):
 
 
 def cmd_q_marginal(cfg, out):
-    _check_marginal_time(cfg)
+    _check(feynman_kac.check_marginal_time, cfg["marginal_time"], cfg["t_grid"])
     spec, config, potential = build_scene(cfg)
     t = cfg["marginal_time"]
     base, _ = walk_origin(cfg, potential, max(cfg["t_grid"]),
@@ -343,9 +332,9 @@ def cmd_radial_oracle(cfg, out):
 
 def cmd_born_check(cfg, out):
     op, spec_out = _oracle(cfg)
-    z = spec_out.rho + 1j * cfg["born_z_im"]
+    z = spec_out.rho + 0.15j  # the ground energy, 0.15 off the real axis
     w = np.ones(op.m)
-    born, tail = spectral.born_resolvent_apply(op, z, w, cfg["born_kmax"])
+    born, tail = spectral.born_resolvent_apply(op, z, w)
     direct = spectral.direct_resolvent_solve(op, z, w)
     rel = float(np.sqrt(op.weighted_dot(born - direct, born - direct))
                 / np.sqrt(op.weighted_dot(direct, direct)))
@@ -353,7 +342,7 @@ def cmd_born_check(cfg, out):
         cfg["d"], cfg["r_max"], cfg["m_cells"],
         lambda r: 100.0 * trap_radial_potential(cfg)(r))
     try:
-        spectral.born_resolvent_apply(amplified, z, w, cfg["born_kmax"])
+        spectral.born_resolvent_apply(amplified, z, w)
         diverged = 0
     except spectral.BornDivergenceError:
         diverged = 1
@@ -366,18 +355,17 @@ def cmd_contour_check(cfg, out):
     op, spec_out = _oracle(cfg)
     center = spec_out.rho
     radius = spec_out.gap / 2.0
-    vec, rayleigh = spectral.contour_projector(op, center, radius, cfg["n_quad"])
+    vec, rayleigh = spectral.contour_projector(op, center, radius)
     diff = vec - spec_out.phi
     err_vec = float(np.sqrt(op.weighted_dot(diff, diff)))
     err_val = abs(rayleigh - spec_out.rho)
     write_csv(out / "contour.csv", "center,radius,n_quad,vec_error,rayleigh_error",
-              [(center, radius, cfg["n_quad"], err_vec, err_val)])
+              [(center, radius, spectral.N_QUAD, err_vec, err_val)])
     return {"vec_error": err_vec, "rayleigh_error": err_val}
 
 
 def cmd_fock_check(cfg, out):
-    reports = [fock.isometry_check(name, cfg["d"], v, n_max=cfg["n_max"],
-                                   mc_samples=cfg["fock_samples"], seed=cfg["seed"])
+    reports = [fock.isometry_check(name, cfg["d"], v, seed=cfg["seed"])
                for v in cfg["fock_volumes"] for name in fock.FUNCTIONALS]
     with open(out / "fock.json", "w") as fh:
         json.dump(reports, fh, indent=2, sort_keys=True)
@@ -385,12 +373,10 @@ def cmd_fock_check(cfg, out):
     return {"max_rel_error": max(r["rel_error"] for r in reports)}
 
 
-def cmd_doob_compare(cfg, out):
-    return _pipeline_core(cfg, out, include_rho=False)
-
-
-def cmd_full_pipeline(cfg, out):
-    return _pipeline_core(cfg, out, include_rho=True)
+# full-pipeline's gates, fixed so that no config can loosen them
+RHO_TOLERANCE = 0.02
+RATIO_SIGMA = 4.0
+KS_THRESHOLD = 0.01
 
 
 def _pipeline_core(cfg, out, include_rho):
@@ -407,12 +393,13 @@ def _pipeline_core(cfg, out, include_rho):
     checks = {}
     # the config first: one that cannot be answered fails before any artifact
     if include_rho:
-        _check_rho_horizons(cfg)
-    _check_marginal_time(cfg)
-    spec, config, potential = build_scene(cfg)
+        _check(feynman_kac.check_horizons, cfg["t_grid"])
+    _check(feynman_kac.check_marginal_time, cfg["marginal_time"], cfg["t_grid"])
+    scene_window(cfg)
     if cfg["planted"] != [0.0] or cfg["kappa"] != 0:
         raise ConfigError("the oracle is one trap at o, so this command needs "
                           "planted = 0 and kappa = 0")
+    spec, config, potential = build_scene(cfg)
     op, spec_out = _oracle(cfg)
     spectral.eigenpair_to_csv(spec_out, out / "eigenpair.csv")
     h_surv = spectral.survival_harmonic(op)
@@ -426,7 +413,7 @@ def _pipeline_core(cfg, out, include_rho):
     if include_rho:
         est = feynman_kac.estimate_rho(base, cfg["t_grid"])
         _write_rho(out, est)
-        checks["rho_near_zero"] = bool(abs(est.rho_hat) <= cfg["rho_tolerance"])
+        checks["rho_near_zero"] = bool(abs(est.rho_hat) <= RHO_TOLERANCE)
         checks["rho_in_bound"] = bool(
             -3.0 * est.rho_stderr - 1e-9 <= est.rho_hat
             <= potential.v_max + 3.0 * est.rho_stderr)
@@ -443,7 +430,7 @@ def _pipeline_core(cfg, out, include_rho):
     for r, ratio, se in table:
         target = float(z_interp(r)) / z0
         rows.append((r, ratio, se, target))
-        if abs(ratio - target) > cfg["ratio_sigma"] * max(se, 1e-6):
+        if abs(ratio - target) > RATIO_SIGMA * max(se, 1e-6):
             ok = False
     write_csv(out / "phi_ratio.csv", "r,ratio,stderr,survival_ratio", rows)
     checks["phi_matches_survival"] = bool(ok)
@@ -457,7 +444,7 @@ def _pipeline_core(cfg, out, include_rho):
                                           doob_r, np.ones(len(doob_r)))
     write_csv(out / "doob_compare.csv", "t,T,ks_statistic,p_value",
               [(cfg["marginal_time"], T, dstat, pval)])
-    checks["q_matches_doob"] = bool(pval > cfg["ks_threshold"])
+    checks["q_matches_doob"] = bool(pval > KS_THRESHOLD)
     checks["q_stabilized"] = bool(
         not qm.sup_distances or qm.sup_distances[-1] < 4.0 / np.sqrt(cfg["n_paths"]))
 
@@ -477,12 +464,12 @@ HANDLERS = {
     "estimate-rho": cmd_estimate_rho,
     "phi-profile": cmd_phi_profile,
     "q-marginal": cmd_q_marginal,
-    "doob-compare": cmd_doob_compare,
+    "doob-compare": lambda cfg, out: _pipeline_core(cfg, out, include_rho=False),
     "radial-oracle": cmd_radial_oracle,
     "born-check": cmd_born_check,
     "contour-check": cmd_contour_check,
     "fock-check": cmd_fock_check,
-    "full-pipeline": cmd_full_pipeline,
+    "full-pipeline": lambda cfg, out: _pipeline_core(cfg, out, include_rho=True),
 }
 
 
@@ -509,7 +496,7 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     try:
-        extra = HANDLERS[args.command](cfg, out)
+        results = HANDLERS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -517,20 +504,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.monotonic() - t0
-    write_manifest(out, args.command, cfg, extra={"results": _jsonable(extra)})
+    write_manifest(out, args.command, cfg, results)
     (out / "timing.txt").write_text(f"wall_time_seconds={wall:.3f}\n")
     print(f"{args.command}: artifacts in {out} ({wall:.1f}s)")
     return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 if __name__ == "__main__":

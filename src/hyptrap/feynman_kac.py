@@ -63,10 +63,6 @@ class PathEnsemble:
     chunk_slices: list                # slices delimiting the independent streams
     h: float                          # time step of the walk
 
-    @property
-    def n_paths(self):
-        return len(self.log_weights)
-
     def snapshot(self, t):
         """(radii, directions, integrals) of the paths at time t."""
         return self.snapshots[int(round(t / self.h))]
@@ -147,11 +143,20 @@ def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
     return ensembles[0] if isinstance(x0, HPoint) else ensembles
 
 
-def _jackknife_stderr(n_streams, statistic):
-    """Drop-one-stream jackknife standard error of `statistic(keep)`, where
-    `keep` is the boolean mask of the streams retained."""
-    jack = np.array([statistic(np.arange(n_streams) != c) for c in range(n_streams)])
-    return float(np.sqrt((n_streams - 1) / n_streams * np.sum((jack - np.mean(jack)) ** 2)))
+def _drop_one_log_z(log_ws, slices):
+    """log Z over the paths of all streams but one (row c drops stream c) for
+    each array in `log_ws` (columns): the kept streams' means pooled by size."""
+    per_stream = np.array([[log_mean_exp(lw[s]) for lw in log_ws] for s in slices])
+    sizes = np.array([s.stop - s.start for s in slices])
+    streams = np.arange(len(sizes))
+    return np.array([log_mean_exp(per_stream[streams != c], weights=sizes[streams != c])
+                     for c in streams])
+
+
+def _jackknife_stderr(jack):
+    """Jackknife standard error from the drop-one-stream values of a statistic."""
+    n = len(jack)
+    return float(np.sqrt((n - 1) / n * np.sum((jack - np.mean(jack)) ** 2)))
 
 
 def _mean_stderr(weights):
@@ -185,6 +190,13 @@ def _wls_slope(ts, ys, sigmas):
     return float(np.sum(w * (ts - tbar) * (ys - ybar)) / denom)
 
 
+def check_horizons(T_grid):
+    """The decay-rate fit needs three distinct horizons."""
+    if len(set(T_grid)) < 3:
+        raise ValueError(f"t_grid needs at least three distinct horizons to fit a "
+                         f"decay rate, got {T_grid}")
+
+
 def estimate_rho(ensemble: PathEnsemble, T_grid) -> GroundStateEstimate:
     """Decay rate of Z_T by weighted least squares on -log Z_T vs T, read from
     the ensemble's snapshots at the horizons T_grid.
@@ -193,24 +205,17 @@ def estimate_rho(ensemble: PathEnsemble, T_grid) -> GroundStateEstimate:
     the correlation of the Z_T estimates across horizons (common paths).
     Nested-window slopes are reported as the convergence diagnostic.
     """
+    check_horizons(T_grid)
     T_grid = sorted(T_grid)
-    if len(set(T_grid)) < 3:
-        raise ValueError("need at least three distinct horizons")
     ts = np.asarray(T_grid, dtype=float)
     log_w = [-ensemble.snapshot(t)[2] for t in T_grid]
     log_z = np.array([log_mean_exp(lw) for lw in log_w])
     # relative stderr of each Z_T: the stderr of the weights over their mean
     sigmas = np.array([_mean_stderr(np.exp(lw - lz))[1] for lw, lz in zip(log_w, log_z)])
     rho_hat = _wls_slope(ts, -log_z, sigmas)
-    per_stream = np.array([[log_mean_exp(lw[s]) for lw in log_w] for s in ensemble.chunk_slices])
-    sizes = np.array([s.stop - s.start for s in ensemble.chunk_slices])
-
-    def slope(keep):
-        # the kept streams' mean weights, pooled into log Z
-        log_z_kept = log_mean_exp(per_stream[keep], weights=sizes[keep])
-        return _wls_slope(ts, -log_z_kept, sigmas)
-
-    rho_se = _jackknife_stderr(len(sizes), slope)
+    rho_se = _jackknife_stderr(np.array([
+        _wls_slope(ts, -log_z_kept, sigmas)
+        for log_z_kept in _drop_one_log_z(log_w, ensemble.chunk_slices)]))
     # nested tail windows: slope over T_grid[k:] for each admissible k
     window_slopes = [
         _wls_slope(ts[k:], -log_z[k:], sigmas[k:]) for k in range(len(ts) - 1)
@@ -219,7 +224,6 @@ def estimate_rho(ensemble: PathEnsemble, T_grid) -> GroundStateEstimate:
     flagged = spread > 3.0 * max(rho_se, 1e-15) + 1e-12
     diag = {
         "window_slopes": window_slopes,
-        "slope_spread": spread,
         "flagged": bool(flagged),
         "log_z": log_z.tolist(),
         "sigmas": sigmas.tolist(),
@@ -244,20 +248,14 @@ def estimate_phi_ratio(base: PathEnsemble, probes):
     `base` itself: ratio 1, stderr 0.  Each row is (distance of the probe
     from o, ratio, paired jackknife stderr).
     """
-
-    def log_z(ens):
-        """log Z_T and the log of each stream's mean weight."""
-        return (log_mean_exp(ens.log_weights),
-                np.array([log_mean_exp(ens.log_weights[s]) for s in ens.chunk_slices]))
-
-    log_z0, chunks0 = log_z(base)
+    log_z0 = log_mean_exp(base.log_weights)
+    # paired jackknife over the common streams: column 0 is o, column j probe j
+    kept = _drop_one_log_z([base.log_weights] + [ens.log_weights for _, ens in probes],
+                           base.chunk_slices)
     table = []
-    for r, ens in probes:
-        lz, chunks = log_z(ens)
-        ratio = np.exp(lz - log_z0)
-        # paired jackknife over the common streams
-        se = _jackknife_stderr(len(chunks), lambda keep: np.exp(
-            log_mean_exp(chunks[keep]) - log_mean_exp(chunks0[keep])))
+    for j, (r, ens) in enumerate(probes, 1):
+        ratio = np.exp(log_mean_exp(ens.log_weights) - log_z0)
+        se = _jackknife_stderr(np.exp(kept[:, j] - kept[:, 0]))
         table.append((float(r), float(ratio), se))
     return table
 
@@ -271,19 +269,25 @@ def estimate_phi_ratio(base: PathEnsemble, probes):
 class QMarginal:
     """Radial time-t marginal of the tilted measure at several horizons."""
 
-    t: float
     radii: np.ndarray              # radius of X_t per path
     weights_by_T: dict             # horizon -> normalized weights
     sup_distances: list            # between consecutive-horizon weighted CDFs
 
 
+def check_marginal_time(t, T_grid):
+    """The Q-marginal at time t is read before every horizon."""
+    if t >= min(T_grid, default=0.0):
+        raise ValueError(f"marginal_time {t:g} must precede every horizon in t_grid, "
+                         f"got {T_grid}")
+
+
 def q_marginal(ensemble: PathEnsemble, t, T_grid) -> QMarginal:
     """Weighted X_t marginal for each horizon T, with a stabilization record,
     read from the ensemble's snapshots at t and at every horizon."""
+    check_marginal_time(t, T_grid)
     T_grid = sorted(T_grid)
-    if t >= min(T_grid):
-        raise ValueError("marginal time must precede every horizon")
     radii = ensemble.snapshot(t)[0]
+    grid = np.sort(radii)
     weights_by_T = {}
     for T in T_grid:
         log_w = -ensemble.snapshot(T)[2]
@@ -291,11 +295,10 @@ def q_marginal(ensemble: PathEnsemble, t, T_grid) -> QMarginal:
         weights_by_T[T] = w / w.sum()
     sup_d = []
     for T1, T2 in zip(T_grid[:-1], T_grid[1:]):
-        grid = np.sort(radii)
         c1 = weighted_cdf(radii, weights_by_T[T1], grid)
         c2 = weighted_cdf(radii, weights_by_T[T2], grid)
         sup_d.append(float(np.max(np.abs(c1 - c2))))
-    return QMarginal(t, radii, weights_by_T, sup_d)
+    return QMarginal(radii, weights_by_T, sup_d)
 
 
 def doob_final_radii(x0: HPoint, grid, phi, T, h, N, seed, workers=1):

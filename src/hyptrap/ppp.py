@@ -208,8 +208,6 @@ def sample_configuration(d, R, kappa, rng) -> Configuration:
     sinh^{d-1} density through its exact inverse CDF (`radial_quantile`);
     directions are uniform on the sphere in T_o H^d.
     """
-    if R <= 0:
-        raise ValueError("window radius must be positive")
     mean = kappa * ball_volume(d, R)
     n = int(rng.poisson(mean)) if mean > 0 else 0
     if n == 0:

@@ -15,6 +15,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 
+N_QUAD = 64  # trapezoid nodes on the contour projector's circle
+
+
 class BornDivergenceError(RuntimeError):
     """Born series terms stopped contracting; smallness condition violated."""
 
@@ -131,7 +134,7 @@ def direct_resolvent_solve(op: RadialOperator, z, w_vec):
     return u / s
 
 
-def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max):
+def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=60):
     """Partial Born sum (H-z)^{-1} w = sum_k R_0 (-V R_0)^k w with tail report.
 
     Raises BornDivergenceError when the term norms stop decreasing for five
@@ -166,7 +169,7 @@ def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max):
     return total, tail
 
 
-def contour_projector(op: RadialOperator, center, radius, n_quad=64):
+def contour_projector(op: RadialOperator, center, radius, n_quad=N_QUAD):
     """Riesz projector applied to the constant vector, by circular trapezoid.
 
     Returns the normalized real vector P.1/||P.1|| and its Rayleigh quotient.
@@ -195,7 +198,7 @@ def contour_projector(op: RadialOperator, center, radius, n_quad=64):
     return v, rayleigh
 
 
-def apply_projector(op: RadialOperator, center, radius, vec, n_quad=64):
+def apply_projector(op: RadialOperator, center, radius, vec, n_quad=N_QUAD):
     """Riesz projector applied to `vec` by the trapezoid rule on the circle."""
     theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
     acc = np.zeros(op.m, dtype=complex)

@@ -23,7 +23,6 @@ t_grid = 0.5,1,2
 marginal_time = 0.25
 h = 0.01
 m_cells = 300
-fock_samples = 2000
 """
 
 
@@ -52,6 +51,19 @@ class TestParseConfig:
         path = write_config(tmp_path, "bogus = 1\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(path)
+
+    @pytest.mark.parametrize("cmd,line", [
+        ("full-pipeline", "ks_threshold = 0.001"), ("full-pipeline", "rho_tolerance = 1"),
+        ("full-pipeline", "ratio_sigma = 8"), ("contour-check", "n_quad = 32"),
+        ("born-check", "born_kmax = 40"), ("born-check", "born_z_im = 0.3"),
+        ("fock-check", "fock_samples = 5000"), ("fock-check", "n_max = 5")])
+    def test_fixed_settings_are_not_keys(self, tmp_path, capsys, cmd, line):
+        # the gate thresholds and the oracle truncations hold one value each
+        path = write_config(tmp_path, FAST + line + "\n")
+        out = tmp_path / "out"
+        assert main([cmd, "--config", path, "--out", str(out)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_line(self, tmp_path):
         path = write_config(tmp_path, "no equals sign here\n")
@@ -201,18 +213,55 @@ class TestCommands:
         assert [float(row[0]) for row in rows["phi-profile"][1:]] == cli.DEFAULTS["probes"]
 
     def test_born_and_contour_checks(self, tmp_path):
-        path = write_config(tmp_path, FAST + "born_kmax = 40\n")
+        path = write_config(tmp_path)
         for cmd, artifact in (("born-check", "born.csv"), ("contour-check", "contour.csv")):
             out = tmp_path / cmd
             assert main([cmd, "--config", path, "--out", str(out)]) == 0
             assert (out / artifact).exists()
 
     def test_fock_check(self, tmp_path):
-        path = write_config(tmp_path, "fock_samples = 5000\nfock_volumes = 1\n")
+        path = write_config(tmp_path, "fock_volumes = 1\n")
         out = tmp_path / "out"
         assert main(["fock-check", "--config", path, "--out", str(out)]) == 0
         reports = json.loads((out / "fock.json").read_text())
         assert all(r["rel_error"] < 0.1 for r in reports)
+
+    def test_fock_check_series_reaches_its_closed_form(self, tmp_path):
+        # n_max = 5 used to cut the void series at v = 7 to rel_error 2.4
+        path = write_config(tmp_path, "d = 3\nfock_volumes = 0.1,3,7\n")
+        out = tmp_path / "out"
+        assert main(["fock-check", "--config", path, "--out", str(out)]) == 0
+        reports = json.loads((out / "fock.json").read_text())
+        assert len(reports) == 6
+        for rep in reports:
+            v = rep["v"]
+            closed = v**2 + v if rep["functional"] == "count" else np.exp(-v)
+            assert abs(rep["lhs"] - rep["rhs"]) <= 4.0 * rep["lhs_stderr"], rep
+            assert rep["tail_bound"] >= abs(closed - rep["rhs"]), rep
+            assert rep["n_max"] > v
+
+    @pytest.mark.parametrize("volumes", ["0.5,1000", "1e20", "0"])
+    def test_fock_volume_too_large_to_sum_exits_2(self, tmp_path, capsys, volumes):
+        path = write_config(tmp_path, f"fock_volumes = {volumes}\n")
+        out = tmp_path / "out"
+        assert main(["fock-check", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "fock_volumes = " in err and "a ball volume must lie in" in err
+        assert not out.exists()
+
+    def test_pipeline_refuses_poisson_scene_before_sampling(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # about 2.8e6 traps in window 16: the oracle rule refuses before a draw
+        def no_sampling(*args):
+            raise AssertionError("sampled a scene the pipeline refuses")
+
+        monkeypatch.setattr(cli, "sample_configuration", no_sampling)
+        path = write_config(tmp_path, FAST + "kappa = 0.05\nwindow_radius = 16\n")
+        for cmd in ("full-pipeline", "doob-compare"):
+            out = tmp_path / cmd
+            assert main([cmd, "--config", path, "--out", str(out)]) == 2
+            assert "one trap at o" in capsys.readouterr().err
+            assert not list(out.iterdir())
 
     def test_poisson_scene_too_large_fails_before_artifacts(self, tmp_path, capsys):
         # kappa > 0 with the automatic window asks for ~1e19 traps

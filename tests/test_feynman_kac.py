@@ -174,6 +174,23 @@ class TestEstimatePhiRatio:
             fused = estimate_phi_ratio(*walk_probes(off_axis, pot, 1.0, 0.01, 100, 3))
             assert fused == separate_walks_table(off_axis, pot, 1.0, 0.01, 100, 3)
 
+    def test_jackknife_pools_unequal_streams_by_size(self):
+        # 100 paths in 16 streams: four of 7 paths and twelve of 6; dropping a
+        # stream leaves the ratio of the mean weights over the kept paths
+        probes = [canonical_axis_point(2, r) for r in (0.5, 2.0)]
+        base, moved = walk_probes(probes, planted_trap(2), 1.0, 0.01, 100, 4)
+        assert sorted({s.stop - s.start for s in base.chunk_slices}) == [6, 7]
+        for (r, ens), (_, _, se) in zip(moved, estimate_phi_ratio(base, moved)):
+            jack = []
+            for s in base.chunk_slices:
+                kept = np.ones(len(base.log_weights), dtype=bool)
+                kept[s] = False
+                jack.append(np.mean(ens.weights[kept]) / np.mean(base.weights[kept]))
+            jack = np.array(jack)
+            n = len(jack)
+            assert se == pytest.approx(
+                np.sqrt((n - 1) / n * np.sum((jack - jack.mean()) ** 2)), rel=1e-12)
+
     def test_constant_potential_unit_ratios(self):
         d = 2
         config = Configuration(np.empty((0, d + 1)), 60.0, 0.0, d)
@@ -344,7 +361,7 @@ class TestEnsembleInfrastructure:
         ens = simulate_tilted_ensemble(origin(2), ConstantPotential(0.0), 0.5,
                                        0.01, 100, 0)
         total = sum(s.stop - s.start for s in ens.chunk_slices)
-        assert total == 100 == ens.n_paths
+        assert total == 100 == len(ens.log_weights)
 
 
 class TestLockstepStreams:

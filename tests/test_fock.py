@@ -1,11 +1,13 @@
 """Chaos kernels of Poisson functionals and the Fock-norm identity."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from hyptrap.fock import FUNCTIONALS, isometry_check, radius_for_volume
+from hyptrap import fock
+from hyptrap.fock import FUNCTIONALS, MAX_VOLUME, isometry_check, radius_for_volume
 from hyptrap.ppp import ball_volume
 
 
@@ -76,4 +78,33 @@ class TestIsometryCheck:
         assert set(rep) == {"functional", "v", "lhs", "lhs_stderr", "rhs",
                             "rel_error", "n_max", "tail_bound"}
         assert rep["v"] == ball_volume(2, radius_for_volume(2, 0.5))
-        assert rep["tail_bound"] < 1e-10  # factorial decay at n_max=12
+        assert rep["tail_bound"] < 1e-10  # factorial decay past n_max > v
+
+
+class TestSeriesOrder:
+    def closed_form(self, name, v):
+        return v**2 + v if name == "count" else math.exp(-v)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tail_bound_covers_the_closed_form(self, d):
+        for v in (0.1, 0.5, 1.0, 2.0, 3.0, 7.0, 15.0, MAX_VOLUME):
+            for name in FUNCTIONALS:
+                rep = isometry_check(name, d, v, mc_samples=2)
+                assert rep["n_max"] > rep["v"], (name, v)
+                err = abs(self.closed_form(name, rep["v"]) - rep["rhs"])
+                assert err <= rep["tail_bound"] < 1e-13 * rep["rhs"], (name, v, rep)
+
+    def test_largest_volume_sums_in_normal_doubles(self, monkeypatch):
+        # every void kernel the series squares, to the term after n_max, is a
+        # normal double at MAX_VOLUME; past v = 32.5 some are not
+        _, kernel = FUNCTIONALS["void"]
+        monkeypatch.setattr(fock, "MAX_VOLUME", 33.0)
+        for v, normal in ((MAX_VOLUME, True), (33.0, False)):
+            rep = isometry_check("void", 2, v, mc_samples=2)
+            smallest = min(kernel(rep["v"], n) ** 2 for n in range(rep["n_max"] + 2))
+            assert (smallest >= sys.float_info.min) == normal, v
+
+    @pytest.mark.parametrize("volume", [0.0, -1.0, 33.0, 1000.0, 1e20])
+    def test_refuses_a_volume_it_cannot_sum(self, volume):
+        with pytest.raises(ValueError, match="ball volume"):
+            isometry_check("count", 2, volume, mc_samples=2)
