@@ -5,11 +5,13 @@ and follows the geodesic: weak order 1 for the generator (1/2)
 Laplace-Beltrami, and exactly manifold-preserving.  The same walk with an
 extra radial drift term serves the Doob-transformed dynamics.
 
-State is kept in polar form (geodesic radius r from the origin, unit
-direction u in T_o H^d): the ambient hyperboloid coordinates lose the sheet
-constraint to cancellation once r exceeds ~18, while the polar update below
-is built from same-sign terms and keeps absolute machine accuracy in r at
-any radius the walks reach.
+Every point of the package, start, trap or path state, is kept in polar
+form (geodesic radius r from the origin o, unit direction u in T_o H^d): the
+ambient hyperboloid coordinates (cosh r, sinh r u) lose the sheet constraint
+to cancellation once r exceeds ~18, while the polar update below is built
+from same-sign terms and keeps absolute machine accuracy in r at any radius
+the walks reach.  The ambient form is only an output format
+(`configuration.json`, the path CSVs).
 """
 
 from __future__ import annotations
@@ -18,15 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hyptrap import geometry
-
 MAX_STEP = 0.1
+
+
+def on_axis(d, radii):
+    """Polar states (|p|, +-e_1) at signed radii p on the e_1 axis: -e_1 for
+    p < 0, e_1 otherwise, so o is on_axis(d, [0])."""
+    p = np.asarray(radii, dtype=float).reshape(-1)
+    u = np.zeros((len(p), d))
+    u[:, 0] = np.where(p < 0, -1.0, 1.0)
+    return np.abs(p), u
 
 
 def polar_from_ambient(X):
     """(r, u) polar state from ambient rows (N, d+1); u = e_1 at the origin."""
     X = np.asarray(X, dtype=float)
-    r = geometry.radius_batch(X)
+    r = np.arccosh(np.maximum(1.0, X[:, 0]))
     u = np.zeros_like(X[:, 1:])
     u[:, 0] = 1.0
     ok = r > 1e-14

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hyptrap import diffusion, spectral
-from hyptrap.geometry import HPoint
 from hyptrap.ppp import PotentialField
 from hyptrap.stats import effective_sample_size, log_mean_exp, weighted_cdf
 
@@ -92,16 +91,18 @@ class GroundStateEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
+def simulate_tilted_ensemble(starts, potential: PotentialField, T, h, N, seed,
                              snapshot_times=(), drift_fn=None, workers=1):
-    """N independent walks from x0 with streaming trapezoid potential integrals.
+    """N independent walks from each start, with streaming trapezoid
+    potential integrals; one PathEnsemble per start.
 
-    `x0` may also be a sequence of B starts, walked as one fused ensemble:
-    the paths from every start form B stacked blocks that share every
-    Gaussian draw on the one pointwise `potential`, and one PathEnsemble per
-    start comes back, bitwise the ensemble that start alone would give.  The
-    walk is block-major: each block holds the rows of every stream in stream
-    order, so a start's ensemble is one contiguous slice of it.
+    `starts` is a pair (r, u) of B radii and B unit directions in T_o H^d
+    (`diffusion.on_axis` gives o and points on the e_1 axis).  The B starts
+    walk as one fused ensemble: their paths form B stacked blocks that share
+    every Gaussian draw on the one pointwise `potential`, and each start's
+    PathEnsemble is bitwise the one that start alone would give.  The walk is
+    block-major: each block holds the rows of every stream in stream order,
+    so a start's ensemble is one contiguous slice of it.
     """
     n_steps = int(round(T / h))
     if not diffusion.on_step_grid(T, h):
@@ -110,12 +111,10 @@ def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
     for t in snapshot_times:
         if not diffusion.on_step_grid(t, h):
             raise ValueError(f"snapshot time {t} not on the step grid")
-    starts = [x0] if isinstance(x0, HPoint) else list(x0)
-    blocks = len(starts)
+    r_start, u_start = (np.asarray(a, dtype=float) for a in starts)
+    blocks = len(r_start)
     sizes = _chunk_sizes(N)
     streams = list(zip(_chunk_rngs(seed, len(sizes)), sizes))
-
-    r_start, u_start = diffusion.polar_from_ambient(np.array([x.z for x in starts]))
 
     def job(group):
         n = sum(size for _, size in group)
@@ -136,11 +135,10 @@ def simulate_tilted_ensemble(x0, potential: PotentialField, T, h, N, seed,
                  for k in snap_steps}
     bounds = np.cumsum([0] + sizes)
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    ensembles = [PathEnsemble(log_weights[b], final_radii[b],
-                              {k: tuple(a[b] for a in snap) for k, snap in snapshots.items()},
-                              slices, h)
-                 for b in range(blocks)]
-    return ensembles[0] if isinstance(x0, HPoint) else ensembles
+    return [PathEnsemble(log_weights[b], final_radii[b],
+                         {k: tuple(a[b] for a in snap) for k, snap in snapshots.items()},
+                         slices, h)
+            for b in range(blocks)]
 
 
 def _drop_one_log_z(log_ws, slices):
@@ -166,11 +164,12 @@ def _mean_stderr(weights):
     return m, s
 
 
-def estimate_Z(x: HPoint, potential: PotentialField, T, h, N, seed, workers=1) -> ZEstimate:
-    """Plain Monte Carlo for Z_T^x = E^x[exp(-int_0^T V(X_s) ds)]."""
+def estimate_Z(x, potential: PotentialField, T, h, N, seed, workers=1) -> ZEstimate:
+    """Plain Monte Carlo for Z_T^x = E^x[exp(-int_0^T V(X_s) ds)] from the
+    one start x = (r, u) (arrays of one row)."""
     if N < 2:
         raise ValueError("need at least two paths")
-    ens = simulate_tilted_ensemble(x, potential, T, h, N, seed, workers=workers)
+    ens, = simulate_tilted_ensemble(x, potential, T, h, N, seed, workers=workers)
     z, se = _mean_stderr(ens.weights)
     return ZEstimate(z, se, ens)
 
@@ -230,13 +229,6 @@ def estimate_rho(ensemble: PathEnsemble, T_grid) -> GroundStateEstimate:
         "T_grid": list(ts),
     }
     return GroundStateEstimate(rho_hat, rho_se, diagnostics=diag)
-
-
-def canonical_axis_point(d, r):
-    z = np.zeros(d + 1)
-    z[0] = np.cosh(r)
-    z[1] = np.sinh(r)
-    return HPoint(z)
 
 
 def estimate_phi_ratio(base: PathEnsemble, probes):
@@ -301,11 +293,12 @@ def q_marginal(ensemble: PathEnsemble, t, T_grid) -> QMarginal:
     return QMarginal(radii, weights_by_T, sup_d)
 
 
-def doob_final_radii(x0: HPoint, grid, phi, T, h, N, seed, workers=1):
-    """Terminal radii of N paths of the Doob-transformed diffusion
-    (1/2)Lap + (log phi)' d_r, with `phi` a positive radial eigenfunction
-    tabulated on `grid` (no potential weighting)."""
+def doob_final_radii(x0, grid, phi, T, h, N, seed, workers=1):
+    """Terminal radii of N paths from the one start x0 = (r, u) of the
+    Doob-transformed diffusion (1/2)Lap + (log phi)' d_r, with `phi` a
+    positive radial eigenfunction tabulated on `grid` (no potential
+    weighting)."""
     drift = spectral.log_derivative_interpolant(grid, phi)
-    ens = simulate_tilted_ensemble(x0, None, T, h, N, seed, drift_fn=drift,
-                                   workers=workers)
+    ens, = simulate_tilted_ensemble(x0, None, T, h, N, seed, drift_fn=drift,
+                                    workers=workers)
     return ens.final_radii

@@ -1,10 +1,14 @@
 """Poisson point processes in hyperbolic windows and factor potentials.
 
 A configuration is a finite realization of the PPP in a geodesic ball about
-the origin; the potential at x is min(V_max, sum_y eta(d(x, y))) for a
-compactly supported seed profile eta.  The window policy makes the finite
-window an exact restriction of the infinite process: a caller declaring a
-path-excursion budget R_path must use window_radius >= R_path + r_0.
+the origin, held in polar form like every point of the package
+(`diffusion`): each trap's radius and unit direction at o.  Its hyperboloid
+rows (`Configuration.points`) are computed only where an output needs them,
+as `configuration.json` does.  The potential at x is
+min(V_max, sum_y eta(d(x, y))) for a compactly supported seed profile eta.
+The window policy makes the finite window an exact restriction of the
+infinite process: a caller declaring a path-excursion budget R_path must use
+window_radius >= R_path + r_0.
 
 The same support bound prunes traps exactly.  For a query at radius r and a
 trap at radius r_y, d(x, y) >= r_y - r, so the query receives nothing from
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hyptrap import geometry
+from hyptrap.diffusion import ambient_from_polar
 
 #: caps V_max below (d-1)^2/8 are inside the regime of the existence theorem
 def theorem_regime_bound(d):
@@ -106,26 +110,39 @@ def check_intensity(kappa):
 
 @dataclass(frozen=True)
 class Configuration:
-    """A finite PPP realization in the ball of radius window_radius about o."""
+    """A finite PPP realization in the ball of radius window_radius about o:
+    the traps' radii (n,) and unit directions (n, d) in T_o H^d."""
 
-    points: np.ndarray  # (n, d+1) hyperboloid coordinates
+    radii: np.ndarray
+    directions: np.ndarray
     window_radius: float
     intensity: float
-    d: int
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, self.d + 1)
-        object.__setattr__(self, "points", pts)
+        r = np.asarray(self.radii, dtype=float).reshape(-1)
+        u = np.asarray(self.directions, dtype=float)
+        object.__setattr__(self, "radii", r)
+        object.__setattr__(self, "directions", u)
+        if u.ndim != 2 or u.shape[0] != len(r) or u.shape[1] < 2 or np.any(r < 0):
+            raise ValueError("need a radius >= 0 and a direction of d >= 2 components "
+                             "per trap")
         if self.window_radius <= 0:
             raise ValueError("window_radius must be positive")
         check_intensity(self.intensity)
-        if len(pts):
-            r = geometry.radius_batch(pts)
-            if np.any(r > self.window_radius + 1e-9):
-                raise WindowError("configuration point outside its own window")
+        if np.any(r > self.window_radius + 1e-9):
+            raise WindowError("configuration point outside its own window")
+
+    @property
+    def d(self):
+        return self.directions.shape[1]
+
+    @property
+    def points(self):
+        """The traps' hyperboloid coordinates (n, d+1)."""
+        return ambient_from_polar(self.radii, self.directions)
 
     def __len__(self):
-        return self.points.shape[0]
+        return len(self.radii)
 
     def to_json(self):
         return json.dumps(
@@ -211,14 +228,11 @@ def sample_configuration(d, R, kappa, rng) -> Configuration:
     mean = kappa * ball_volume(d, R)
     n = int(rng.poisson(mean)) if mean > 0 else 0
     if n == 0:
-        return Configuration(np.empty((0, d + 1)), R, kappa, d)
+        return Configuration(np.empty(0), np.empty((0, d)), R, kappa)
     radii = radial_quantile(d, R, rng.uniform(size=n))
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    pts = np.empty((n, d + 1))
-    pts[:, 0] = np.cosh(radii)
-    pts[:, 1:] = np.sinh(radii)[:, None] * dirs
-    return Configuration(pts, R, kappa, d)
+    return Configuration(radii, dirs, R, kappa)
 
 
 def polar_distances(r, u, ry, uy):
@@ -260,7 +274,7 @@ class PotentialField:
 class FactorPotential(PotentialField):
     """min(V_max, sum over configuration points of eta(d(x, y))).
 
-    The trap polar states are stored sorted by radius.  A query at radius r
+    The traps' radii and directions are stored sorted by radius.  A query at radius r
     has its own cut c, the number of traps with r_y < r + r_0: every other
     trap has d(x, y) >= r_y - r >= r_0, so its profile term is exactly zero.
     The query sums the first k(c) = min(2^bit_length(c), n_traps) traps, a
@@ -273,12 +287,9 @@ class FactorPotential(PotentialField):
         self.spec = spec
         self.config = config
         self.v_max = spec.v_max
-        from hyptrap.diffusion import polar_from_ambient
-
-        ry, uy = polar_from_ambient(config.points)
-        order = np.argsort(ry, kind="stable")
-        self._ry = ry[order]
-        self._uy = uy[order]
+        order = np.argsort(config.radii, kind="stable")
+        self._ry = config.radii[order]
+        self._uy = config.directions[order]
 
     def check_window(self, max_radius):
         """Enforce the window policy for queries up to geodesic radius max_radius."""

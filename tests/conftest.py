@@ -1,7 +1,8 @@
 """Shared test plumbing: verdict lines that survive output capture, the
 Poisson goodness-of-fit statistic of the PPP-law tests, and the reference
-objects the tests compare the program with: the scalar geodesic distance and
-its pairwise table over ambient coordinates, a constant potential, an
+objects the tests compare the program with: the Minkowski form of the
+hyperboloid model, the scalar geodesic distance and its pairwise table over
+ambient coordinates, the polar start o, a constant potential, an
 independent radial oracle, and the walk step and polar distance table
 written with numpy's row reductions.
 
@@ -13,8 +14,7 @@ sampler's radial statistics.
 import numpy as np
 from scipy import stats
 
-from hyptrap.diffusion import _draws
-from hyptrap.geometry import HPoint, minkowski_dot
+from hyptrap.diffusion import _draws, on_axis
 from hyptrap.ppp import PotentialField
 
 VERDICTS = []
@@ -65,15 +65,28 @@ def chisquare_poisson(counts, mean, min_expected=5.0):
     return float(stat), float(p)
 
 
-def distance(x: HPoint, y: HPoint) -> float:
-    """Geodesic distance arccosh(-<x,y>_J)."""
-    return float(np.arccosh(np.maximum(1.0, -minkowski_dot(x.z, y.z))))
+def minkowski_dot(x, y):
+    """The bilinear form -x_0 y_0 + sum_{i>=1} x_i y_i of R^{1+d}, over the
+    last axis: H^d is the upper sheet <z, z> = -1, z_0 >= 1."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return -x[..., 0] * y[..., 0] + np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+
+
+def distance(x, y) -> float:
+    """Geodesic distance arccosh(-<x,y>_J) between two points of the sheet."""
+    return float(np.arccosh(np.maximum(1.0, -minkowski_dot(x, y))))
 
 
 def distance_batch(X, Y):
     """Pairwise distances between rows of X (N, d+1) and rows of Y (m, d+1)."""
     inner = X[:, 0][:, None] * Y[:, 0][None, :] - X[:, 1:] @ Y[:, 1:].T
     return np.arccosh(np.maximum(1.0, inner))
+
+
+def origin(d):
+    """The start o = (0, e_1)."""
+    return on_axis(d, [0.0])
 
 
 class ConstantPotential(PotentialField):

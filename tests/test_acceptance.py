@@ -44,8 +44,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from hyptrap import cli, diffusion, feynman_kac, fock, geometry, spectral, stats
-from hyptrap.geometry import origin
+from hyptrap import cli, diffusion, feynman_kac, fock, spectral, stats
 from hyptrap.ppp import (
     Configuration,
     FactorPotential,
@@ -69,7 +68,7 @@ def trap_radial(r):
 
 
 def planted_trap(d=2):
-    config = Configuration(origin(d).z[None, :], 60.0, 0.0, d)
+    config = Configuration(*conftest.origin(d), 60.0, 0.0)
     return FactorPotential(SPEC, config)
 
 
@@ -159,7 +158,7 @@ def test_criterion_4_eigenfunction_ratio(oracle, origin_walk):
 def test_criterion_5_q_process_mechanism(oracle, origin_walk):
     op, _, h_surv = oracle
     qm = feynman_kac.q_marginal(origin_walk[0], 1.0, [10.0, 20.0, 40.0])
-    doob_r = feynman_kac.doob_final_radii(origin(2), op.grid, h_surv,
+    doob_r = feynman_kac.doob_final_radii(conftest.origin(2), op.grid, h_surv,
                                           1.0, 0.01, 10_000, 8)
     _, p = stats.weighted_ks_2samp(qm.radii, qm.weights_by_T[40.0],
                                    doob_r, np.ones(len(doob_r)))
@@ -170,14 +169,14 @@ def test_criterion_5_q_process_mechanism(oracle, origin_walk):
 def test_criterion_6_constant_potential_identities():
     c, T = 0.2, 4.0
     pot = conftest.ConstantPotential(c)
-    z = feynman_kac.estimate_Z(origin(2), pot, T, 0.01, 1000, 0)
+    z = feynman_kac.estimate_Z(conftest.origin(2), pot, T, 0.01, 1000, 0)
     z_exact = abs(z.z_hat - np.exp(-c * T)) < 1e-12 and z.stderr < 1e-14
-    ens = feynman_kac.simulate_tilted_ensemble(origin(2), pot, 8.0, 0.01,
-                                               1000, 0, snapshot_times=[2.0, 4.0, 8.0])
+    ens, = feynman_kac.simulate_tilted_ensemble(conftest.origin(2), pot, 8.0, 0.01,
+                                                1000, 0, snapshot_times=[2.0, 4.0, 8.0])
     est = feynman_kac.estimate_rho(ens, [2.0, 4.0, 8.0])
     rho_exact = abs(est.rho_hat - c) < 1e-12
-    ens = feynman_kac.simulate_tilted_ensemble(origin(2), pot, 8.0, 0.01,
-                                               10_000, 1, snapshot_times=[1.0, 4.0, 8.0])
+    ens, = feynman_kac.simulate_tilted_ensemble(conftest.origin(2), pot, 8.0, 0.01,
+                                                10_000, 1, snapshot_times=[1.0, 4.0, 8.0])
     qm = feynman_kac.q_marginal(ens, 1.0, [4.0, 8.0])
     rng = np.random.default_rng(2)
     r0 = np.zeros(10_000)
@@ -236,7 +235,7 @@ def test_criterion_9_ppp_law():
     for i in range(n):
         config = sample_configuration(2, 2.0, 1.0, rng)
         counts[i] = len(config)
-        r = geometry.radius_batch(config.points)
+        r = config.radii
         inner[i] = np.sum(r < 1.0)
         outer[i] = np.sum(r >= 1.0)
     _, p = conftest.chisquare_poisson(counts, mean)

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyptrap import cli, feynman_kac, geometry
+from conftest import minkowski_dot
+from hyptrap import cli, feynman_kac
 from hyptrap.cli import ConfigError, main, parse_config, resolve_config
 
 FAST = """
@@ -240,6 +241,18 @@ class TestCommands:
             assert rep["tail_bound"] >= abs(closed - rep["rhs"]), rep
             assert rep["n_max"] > v
 
+    def test_fock_check_gates_its_rows(self, tmp_path, capsys):
+        # P(N = 0) = e^-30: no draw of 10^5 lands on the void, so its row reads
+        # lhs = lhs_stderr = 0 against rhs = e^-60 and fails the gate
+        path = write_config(tmp_path, "fock_volumes = 30\n")
+        out = tmp_path / "out"
+        assert main(["fock-check", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "void v=30" in err and "count" not in err
+        void = json.loads((out / "fock.json").read_text())[1]
+        assert void["functional"] == "void" and void["lhs"] == void["lhs_stderr"] == 0.0
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("volumes", ["0.5,1000", "1e20", "0"])
     def test_fock_volume_too_large_to_sum_exits_2(self, tmp_path, capsys, volumes):
         path = write_config(tmp_path, f"fock_volumes = {volumes}\n")
@@ -359,7 +372,7 @@ class TestDeterminism:
             t, z, r = data[:, 0], data[:, 1:4], data[:, 4]
             assert np.array_equal(t, np.arange(101) * 0.01)
             # the quadratic form itself rounds like eps * z_0^2
-            defect = np.max(np.abs(geometry.minkowski_dot(z, z) + 1.0))
+            defect = np.max(np.abs(minkowski_dot(z, z) + 1.0))
             assert defect < 1e-12 * np.max(z[:, 0]) ** 2
             assert np.array_equal(r, np.arccosh(z[:, 0]))
 
@@ -388,6 +401,25 @@ class TestBuildScene:
         spec, config, potential = cli.build_scene(cfg)
         assert len(config) == 1
         assert potential.v_max == cfg["vmax"]
+
+    def test_planted_traps_are_exact(self):
+        # a trap at p < 0 sits at radius |p| on -e_1, bitwise
+        cfg = resolve_config({"planted": [0.0, -1.0, 0.5], "window_radius": 5.0})
+        spec, config, potential = cli.build_scene(cfg)
+        assert np.array_equal(config.radii, [0.0, 1.0, 0.5])
+        assert np.array_equal(config.directions, [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(config.points[1], [np.cosh(1.0), -np.sinh(1.0), 0.0])
+
+    def test_probes_start_exactly_at_their_radii(self):
+        cfg = resolve_config({"probes": [0.0, 0.5, 1.0, 2.0], "n_paths": 16})
+        spec, config, potential = cli.build_scene(cfg)
+        base, probes = cli.walk_origin(cfg, potential, 0.01, cfg["probes"],
+                                       snapshot_times=[0.0])
+        assert probes[0][1] is base
+        for r, ens in probes:
+            radii, dirs, _ = ens.snapshot(0.0)
+            assert np.all(radii == r)
+            assert np.all(dirs == [1.0, 0.0])
 
     def test_mean_count_guard(self):
         cfg = resolve_config({"kappa": 1.0, "window_radius": 40.0})

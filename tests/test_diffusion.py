@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import radial_drift, radial_oracle_final, step_polar_reference
+from conftest import minkowski_dot, radial_drift, radial_oracle_final, step_polar_reference
 from hyptrap.diffusion import (
     ambient_from_polar,
     ensemble_walk,
+    on_axis,
     polar_from_ambient,
     step_polar,
 )
-from hyptrap import geometry
 from hyptrap.cli import main
-from hyptrap.geometry import origin
 from hyptrap.ppp import FactorPotential, PotentialSpec, sample_configuration
 
 
@@ -51,9 +50,17 @@ class TestPolarConversion:
         assert np.allclose(u2, u, atol=1e-9)
 
     def test_origin(self):
-        r, u = polar_from_ambient(origin(2).z[None, :])
+        r, u = polar_from_ambient(np.array([[1.0, 0.0, 0.0]]))
         assert r[0] == 0.0
         assert np.allclose(u[0], [1.0, 0.0])
+
+    def test_on_axis_is_exact(self):
+        # o, and a point at |p| on e_1 or, for p < 0, on -e_1: no rounding
+        r, u = on_axis(3, [0.0, 0.5, 1.0, -1.0, -0.0])
+        assert np.array_equal(r, [0.0, 0.5, 1.0, 1.0, 0.0])
+        assert np.array_equal(u, [[1, 0, 0], [1, 0, 0], [1, 0, 0], [-1, 0, 0], [1, 0, 0]])
+        r, u = on_axis(2, [])
+        assert r.shape == (0,) and u.shape == (0, 2)
 
 
 class TestBmStep:
@@ -134,12 +141,11 @@ class TestSimulatePath:
         # the quadratic form itself rounds like eps * cosh(r)^2, so the
         # defect bound has to scale with the largest coordinate reached
         rng = np.random.default_rng(5)
-        r0, u0 = polar_from_ambient(origin(2).z[None, :])
         m = 2000
-        snaps = ensemble_walk(r0, u0, m, 0.01, rng, snapshot_steps=range(m + 1)).snapshots
+        snaps = ensemble_walk(*on_axis(2, [0.0]), m, 0.01, rng, snapshot_steps=range(m + 1)).snapshots
         points = np.vstack([ambient_from_polar(*snaps[k][:2]) for k in range(m + 1)])
         scale = float(np.max(points[:, 0])) ** 2
-        defect = np.max(np.abs(geometry.minkowski_dot(points, points) + 1.0))
+        defect = np.max(np.abs(minkowski_dot(points, points) + 1.0))
         assert defect < 1e-12 * scale
 
     def test_radial_speed_d2(self):
@@ -197,7 +203,7 @@ class TestSimulatePath:
 
 def reference_potential(spec, config):
     """The capped profile sum over the traps with r_y < max(r) + r0, on 2-D arrays."""
-    ry, uy = polar_from_ambient(config.points)
+    ry, uy = config.radii, config.directions
     order = np.argsort(ry, kind="stable")
     ry, uy = ry[order], uy[order]
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import ConstantPotential, distance
+from conftest import ConstantPotential, origin
 from hyptrap import diffusion, feynman_kac, stats
+from hyptrap.diffusion import on_axis
 from hyptrap.feynman_kac import (
-    canonical_axis_point,
     doob_final_radii,
     estimate_Z,
     estimate_phi_ratio,
@@ -15,7 +15,6 @@ from hyptrap.feynman_kac import (
     q_marginal,
     simulate_tilted_ensemble,
 )
-from hyptrap.geometry import HPoint, origin
 from hyptrap.ppp import (
     Configuration,
     FactorPotential,
@@ -28,8 +27,7 @@ SPEC = PotentialSpec(1.0, 1.0, 0.1)
 
 
 def planted_trap(d=2, window=60.0):
-    pts = origin(d).z[None, :]
-    return FactorPotential(SPEC, Configuration(pts, window, 0.0, d))
+    return FactorPotential(SPEC, Configuration(*origin(d), window, 0.0))
 
 
 class TestEstimateZ:
@@ -62,7 +60,7 @@ class TestEstimateZ:
     def test_monotone_in_amplitude(self):
         # common random numbers: raising the amplitude decreases every weight
         d = 2
-        config = Configuration(origin(d).z[None, :], 60.0, 0.0, d)
+        config = Configuration(*origin(d), 60.0, 0.0)
         small = FactorPotential(PotentialSpec(0.5, 1.0, 10.0), config)
         large = FactorPotential(PotentialSpec(1.0, 1.0, 10.0), config)
         e1 = estimate_Z(origin(d), small, 5.0, 0.01, 300, 2)
@@ -81,8 +79,9 @@ class TestEstimateZ:
 def walk_o(potential, T_grid, N, seed, extra_snapshots=()):
     """The ensemble from o to max(T_grid), h = 0.01, with snapshots at
     T_grid and extra_snapshots."""
-    return simulate_tilted_ensemble(origin(2), potential, max(T_grid), 0.01, N, seed,
+    ens, = simulate_tilted_ensemble(origin(2), potential, max(T_grid), 0.01, N, seed,
                                     snapshot_times=list(T_grid) + list(extra_snapshots))
+    return ens
 
 
 class TestEstimateRho:
@@ -133,12 +132,15 @@ class TestEstimateRho:
 
 
 def walk_probes(probes, potential, T, h, N, seed):
-    """The ensemble from o and the (distance, ensemble) pair of each probe,
-    walked as one fused ensemble; a probe at o reads the ensemble from o."""
-    o = origin(probes[0].d)
-    radii = [distance(o, probe) for probe in probes]
+    """The ensemble from o and the (radius, ensemble) pair of each probe
+    (radii, directions), walked as one fused ensemble; a probe at o reads the
+    ensemble from o."""
+    radii, dirs = probes
+    moves = radii > 0.0
+    o = origin(dirs.shape[1])
     base, *moved = simulate_tilted_ensemble(
-        [o] + [probe for probe, r in zip(probes, radii) if r > 0.0], potential, T, h, N, seed)
+        (np.concatenate([o[0], radii[moves]]), np.vstack([o[1], dirs[moves]])),
+        potential, T, h, N, seed)
     moved = iter(moved)
     return base, [(r, next(moved) if r > 0.0 else base) for r in radii]
 
@@ -146,29 +148,34 @@ def walk_probes(probes, potential, T, h, N, seed):
 def separate_walks_table(probes, potential, T, h, N, seed):
     """Reference: the table read from one estimate_Z walk from o and one from
     each probe."""
-    o = origin(probes[0].d)
-    base = estimate_Z(o, potential, T, h, N, seed).ensemble
-    return estimate_phi_ratio(base, [(distance(o, probe),
-                                      estimate_Z(probe, potential, T, h, N, seed).ensemble)
-                                     for probe in probes])
+    radii, dirs = probes
+    base = estimate_Z(origin(dirs.shape[1]), potential, T, h, N, seed).ensemble
+    return estimate_phi_ratio(base, [(r, estimate_Z((radii[j:j + 1], dirs[j:j + 1]), potential,
+                                                    T, h, N, seed).ensemble)
+                                     for j, r in enumerate(radii)])
+
+
+def rotated_starts(d, radii, rng):
+    """Starts at the given radii along random directions; o keeps e_1."""
+    r, u = on_axis(d, radii)
+    for j in range(len(r)):
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        if r[j] > 0.0:
+            u[j] = q[:, 0]
+    return r, u
 
 
 class TestEstimatePhiRatio:
     def test_fused_walk_equals_separate_walks(self):
         d = 2
-        probes = [canonical_axis_point(d, r) for r in (0.0, 0.5, 1.0, 2.0, 4.0)]
+        probes = on_axis(d, [0.0, 0.5, 1.0, 2.0, 4.0])
         fused = estimate_phi_ratio(*walk_probes(probes, planted_trap(d), 1.0, 0.01, 64, 10))
         assert fused == separate_walks_table(probes, planted_trap(d), 1.0, 0.01, 64, 10)
         assert fused[0] == (0.0, 1.0, 0.0)
         # a sampled kappa 0.05 scene, probes off the e_1 axis; the uncapped
         # profile makes every trap near a path count in the sums
         scene = sample_configuration(d, 10.0, 0.05, np.random.default_rng(5))
-        rng = np.random.default_rng(6)
-        off_axis = []
-        for r in (0.7, 1.5, 0.0, 3.0):
-            rot = np.eye(d + 1)
-            rot[1:, 1:], _ = np.linalg.qr(rng.standard_normal((d, d)))
-            off_axis.append(HPoint(rot @ canonical_axis_point(d, r).z))
+        off_axis = rotated_starts(d, [0.7, 1.5, 0.0, 3.0], np.random.default_rng(6))
         for spec in (SPEC, PotentialSpec(1.0, 1.0, 10.0)):
             pot = FactorPotential(spec, scene)
             fused = estimate_phi_ratio(*walk_probes(off_axis, pot, 1.0, 0.01, 100, 3))
@@ -177,7 +184,7 @@ class TestEstimatePhiRatio:
     def test_jackknife_pools_unequal_streams_by_size(self):
         # 100 paths in 16 streams: four of 7 paths and twelve of 6; dropping a
         # stream leaves the ratio of the mean weights over the kept paths
-        probes = [canonical_axis_point(2, r) for r in (0.5, 2.0)]
+        probes = on_axis(2, [0.5, 2.0])
         base, moved = walk_probes(probes, planted_trap(2), 1.0, 0.01, 100, 4)
         assert sorted({s.stop - s.start for s in base.chunk_slices}) == [6, 7]
         for (r, ens), (_, _, se) in zip(moved, estimate_phi_ratio(base, moved)):
@@ -193,9 +200,9 @@ class TestEstimatePhiRatio:
 
     def test_constant_potential_unit_ratios(self):
         d = 2
-        config = Configuration(np.empty((0, d + 1)), 60.0, 0.0, d)
+        config = Configuration(*on_axis(d, []), 60.0, 0.0)
         spec = PotentialSpec(1.0, 1.0, 0.0)  # capped at zero: V = 0
-        probes = [canonical_axis_point(d, r) for r in (0.5, 1.0)]
+        probes = on_axis(d, [0.5, 1.0])
         table = estimate_phi_ratio(*walk_probes(probes, FactorPotential(spec, config),
                                                 2.0, 0.01, 64, 0))
         for _, ratio, _ in table:
@@ -203,7 +210,7 @@ class TestEstimatePhiRatio:
 
     def test_positive_ratios(self):
         d = 2
-        probes = [canonical_axis_point(d, r) for r in (0.5, 1.0, 2.0)]
+        probes = on_axis(d, [0.5, 1.0, 2.0])
         table = estimate_phi_ratio(*walk_probes(probes, planted_trap(d), 5.0, 0.01, 300, 10))
         for _, ratio, _ in table:
             assert ratio > 0
@@ -269,7 +276,7 @@ class TestLogSpaceWeights:
         assert est.diagnostics["log_z"][-1] == pytest.approx(-1200.0, rel=1e-12)
 
     def test_unit_ratios_of_a_deep_constant_potential(self):
-        probes = [canonical_axis_point(2, r) for r in (0.0, 0.5, 1.0)]
+        probes = on_axis(2, [0.0, 0.5, 1.0])
         table = estimate_phi_ratio(*walk_probes(probes, ConstantPotential(800.0),
                                                 1.0, 0.01, 64, 0))
         for _, ratio, _ in table:
@@ -305,7 +312,7 @@ class TestLogSpaceWeights:
             w = np.exp(-ens.snapshot(t)[2])
             np.testing.assert_allclose(qm.weights_by_T[t], w / w.sum(), rtol=1e-12)
         assert ens.ess == pytest.approx(stats.effective_sample_size(ens.weights), rel=1e-12)
-        probes = [canonical_axis_point(2, r) for r in (0.5, 2.0)]
+        probes = on_axis(2, [0.5, 2.0])
         base, moved = walk_probes(probes, pot, 2.0, 0.01, 400, 7)
         chunks0 = np.array([np.mean(base.weights[s]) for s in base.chunk_slices])
         for (r, ens), (_, ratio, se) in zip(moved, estimate_phi_ratio(base, moved)):
@@ -358,8 +365,8 @@ class TestEnsembleInfrastructure:
                                      0.01, 64, 0)
 
     def test_chunk_slices_cover(self):
-        ens = simulate_tilted_ensemble(origin(2), ConstantPotential(0.0), 0.5,
-                                       0.01, 100, 0)
+        ens, = simulate_tilted_ensemble(origin(2), ConstantPotential(0.0), 0.5,
+                                        0.01, 100, 0)
         total = sum(s.stop - s.start for s in ens.chunk_slices)
         assert total == 100 == len(ens.log_weights)
 
@@ -372,15 +379,10 @@ class TestLockstepStreams:
         # traps, so they fall in different power-of-two buckets
         d, h, n_steps, N, seed = 2, 0.01, 20, 48, 31
         scene = sample_configuration(d, 8.0, 1.0, np.random.default_rng(30))
-        ry, _ = diffusion.polar_from_ambient(scene.points)
-        config = Configuration(scene.points[ry > 2.5], 8.0, 1.0, d)
+        ry = scene.radii
+        config = Configuration(ry[ry > 2.5], scene.directions[ry > 2.5], 8.0, 1.0)
         pot = FactorPotential(PotentialSpec(1.0, 1.0, 100.0), config)
-        rng = np.random.default_rng(32)
-        starts = []
-        for r in (0.0, 2.0, 4.5):
-            rot = np.eye(d + 1)
-            rot[1:, 1:], _ = np.linalg.qr(rng.standard_normal((d, d)))
-            starts.append(HPoint(rot @ canonical_axis_point(d, r).z))
+        starts = rotated_starts(d, [0.0, 2.0, 4.5], np.random.default_rng(32))
         snaps = [0.1, 0.2]
         ens = simulate_tilted_ensemble(starts, pot, n_steps * h, h, N, seed,
                                        snapshot_times=snaps)
@@ -391,13 +393,13 @@ class TestLockstepStreams:
                                    np.concatenate([e.final_radii for e in ens]) + 1.0).tolist())
         assert min(cuts) == 0 and len(cuts) > 3
         assert len({c.bit_length() for c in cuts if c > 0}) >= 2
-        r_start, u_start = diffusion.polar_from_ambient(np.array([x.z for x in starts]))
+        r_start, u_start = starts
         steps = [int(round(t / h)) for t in snaps]
         for s, stream_rng in zip(slices, feynman_kac._chunk_rngs(seed, len(slices))):
             n = s.stop - s.start
             alone = diffusion.ensemble_walk(np.repeat(r_start, n), np.repeat(u_start, n, axis=0),
                                             n_steps, h, stream_rng, potential=pot,
-                                            snapshot_steps=steps, blocks=len(starts))
+                                            snapshot_steps=steps, blocks=len(r_start))
             for b, e in enumerate(ens):
                 block = slice(b * n, (b + 1) * n)
                 assert np.array_equal(e.log_weights[s], -alone.integrals[block])

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
+from conftest import origin
 from hyptrap import cli, feynman_kac, spectral, stats
-from hyptrap.feynman_kac import canonical_axis_point
-from hyptrap.geometry import origin
+from hyptrap.diffusion import on_axis
 from hyptrap.ppp import Configuration, FactorPotential, PotentialSpec
 
 D = 2
@@ -29,7 +29,7 @@ H = 0.01
 
 
 def planted_trap():
-    config = Configuration(origin(D).z[None, :], 60.0, 0.0, D)
+    config = Configuration(*origin(D), 60.0, 0.0)
     return FactorPotential(SPEC, config)
 
 
@@ -76,7 +76,7 @@ class TestSurvivalHarmonic:
         op, h = survival_oracle()
         h_interp = PchipInterpolator(op.grid, h)
         for r in (0.0, 1.0, 3.0):
-            est = feynman_kac.estimate_Z(canonical_axis_point(D, r),
+            est = feynman_kac.estimate_Z(on_axis(D, [r]),
                                          planted_trap(), 40.0, H, 4000,
                                          20 + int(10 * r))
             target = float(h_interp(max(r, 1e-9)))
@@ -103,8 +103,8 @@ class TestQProcessIsDoobOfSurvivalHarmonic:
         assert p > 0.01
 
     def test_marginal_stabilizes_in_horizon(self):
-        ens = feynman_kac.simulate_tilted_ensemble(origin(D), planted_trap(), 40.0, H,
-                                                   4000, 9, snapshot_times=[1.0] + T_GRID)
+        ens, = feynman_kac.simulate_tilted_ensemble(origin(D), planted_trap(), 40.0, H,
+                                                    4000, 9, snapshot_times=[1.0] + T_GRID)
         qm = feynman_kac.q_marginal(ens, 1.0, T_GRID)
         assert qm.sup_distances[-1] < 4.0 / np.sqrt(4000)
 

@@ -12,9 +12,7 @@ from conftest import (
     distance_batch,
     polar_distances_reference,
 )
-from hyptrap import geometry
-from hyptrap.diffusion import ambient_from_polar, polar_from_ambient
-from hyptrap.geometry import HPoint, origin
+from hyptrap.diffusion import ambient_from_polar, on_axis, polar_from_ambient
 from hyptrap.ppp import (
     Configuration,
     FactorPotential,
@@ -30,16 +28,14 @@ from hyptrap.ppp import (
 )
 
 
-def axis_point(d, r):
-    z = np.zeros(d + 1)
-    z[0] = np.cosh(r)
-    z[1] = np.sinh(r)
-    return HPoint(z)
+def axis_config(radii, window, d=2):
+    """Traps on the e_1 axis at the given radii, intensity 0."""
+    return Configuration(*on_axis(d, radii), window, 0.0)
 
 
-def value_at(pot, x):
-    """V at one point of the sheet."""
-    return float(pot.evaluate_polar(*polar_from_ambient(x.z[None, :]))[0])
+def value_at(pot, r):
+    """V at the point at radius r on the e_1 axis."""
+    return float(pot.evaluate_polar(*on_axis(2, [r]))[0])
 
 
 def unit_directions(rng, n, d=2):
@@ -122,8 +118,8 @@ class TestSampleConfiguration:
     def test_points_inside_window(self):
         rng = np.random.default_rng(2)
         config = sample_configuration(3, 2.0, 1.0, rng)
-        r = geometry.radius_batch(config.points)
-        assert np.all(r <= 2.0 + 1e-9)
+        assert len(config) and np.all(config.radii <= 2.0)
+        assert np.allclose(np.linalg.norm(config.directions, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_count_poisson_gof(self):
         rng = np.random.default_rng(3)
@@ -147,8 +143,7 @@ class TestSampleConfiguration:
         inner = np.empty(n)
         outer = np.empty(n)
         for i in range(n):
-            config = sample_configuration(2, 3.0, 0.5, rng)
-            r = geometry.radius_batch(config.points)
+            r = sample_configuration(2, 3.0, 0.5, rng).radii
             inner[i] = np.sum(r < 1.5)
             outer[i] = np.sum(r >= 1.5)
         corr = np.corrcoef(inner, outer)[0, 1]
@@ -163,7 +158,7 @@ class TestSampleConfiguration:
             radii = []
             for _ in range(2000):
                 config = sample_configuration(d, R, 0.5, rng)
-                radii.extend(geometry.radius_batch(config.points))
+                radii.extend(config.radii)
             radii = np.asarray(radii)
             for q in (1.0, 2.0):
                 frac = ball_volume(d, q) / ball_volume(d, R)
@@ -174,24 +169,52 @@ class TestSampleConfiguration:
 
 class TestConfiguration:
     def test_json_roundtrip(self):
+        # the JSON holds the hyperboloid rows exactly; back in polar form they
+        # give the traps to rounding
         rng = np.random.default_rng(6)
         config = sample_configuration(2, 3.0, 1.0, rng)
         obj = json.loads(config.to_json())
-        back = Configuration(np.asarray(obj["points"]), obj["window_radius"],
-                             obj["intensity"], obj["d"])
-        assert back.d == config.d
+        points = np.asarray(obj["points"])
+        assert np.array_equal(points, config.points)
+        back = Configuration(*polar_from_ambient(points), obj["window_radius"],
+                             obj["intensity"])
+        assert back.d == config.d == obj["d"]
         assert back.window_radius == config.window_radius
         assert back.intensity == config.intensity
-        assert np.array_equal(back.points, config.points)
+        assert np.allclose(back.radii, config.radii, rtol=0, atol=1e-12)
+        assert np.allclose(back.directions, config.directions, rtol=0, atol=1e-12)
 
     def test_json_schema_keys(self):
-        config = Configuration(np.empty((0, 3)), 2.0, 1.0, 2)
+        config = Configuration(np.empty(0), np.empty((0, 2)), 2.0, 1.0)
         obj = json.loads(config.to_json())
         assert set(obj) == {"d", "window_radius", "intensity", "points"}
+        assert obj["d"] == 2 and obj["points"] == []
+
+    def test_points_are_the_ambient_form(self):
+        config = sample_configuration(3, 3.0, 1.0, np.random.default_rng(16))
+        assert config.points.shape == (len(config), 4)
+        assert np.array_equal(config.points,
+                              ambient_from_polar(config.radii, config.directions))
+
+    def test_sampled_radii_are_the_quantiles(self):
+        # the radii are radial_quantile's draws bitwise, not read back from
+        # hyperboloid rows
+        rng = np.random.default_rng(17)
+        config = sample_configuration(2, 4.0, 0.5, np.random.default_rng(17))
+        n = rng.poisson(0.5 * ball_volume(2, 4.0))
+        assert len(config) == n
+        assert np.array_equal(config.radii, radial_quantile(2, 4.0, rng.uniform(size=n)))
 
     def test_point_outside_window_rejected(self):
         with pytest.raises(WindowError):
-            Configuration(axis_point(2, 3.0).z[None, :], 2.0, 1.0, 2)
+            axis_config([3.0], 2.0)
+
+    @pytest.mark.parametrize("radii, directions", [
+        ([-0.5], [[1.0, 0.0]]), ([0.5], [1.0, 0.0]),
+        ([0.5, 1.0], [[1.0, 0.0]]), ([0.5], [[1.0]])])
+    def test_malformed_traps_rejected(self, radii, directions):
+        with pytest.raises(ValueError, match="radius >= 0"):
+            Configuration(radii, directions, 2.0, 1.0)
 
 
 class TestPotentialSpec:
@@ -219,32 +242,29 @@ class TestFactorPotential:
         self.spec = PotentialSpec(1.0, 1.0, 0.1)
 
     def test_empty_configuration(self):
-        config = Configuration(np.empty((0, 3)), 10.0, 0.0, 2)
-        assert value_at(FactorPotential(self.spec, config), origin(2)) == 0.0
+        config = axis_config([], 10.0)
+        assert value_at(FactorPotential(self.spec, config), 0.0) == 0.0
 
     def test_far_point_zero(self):
-        config = Configuration(axis_point(2, 2.0).z[None, :], 10.0, 0.0, 2)
-        assert value_at(FactorPotential(self.spec, config), origin(2)) == 0.0
+        config = axis_config([2.0], 10.0)
+        assert value_at(FactorPotential(self.spec, config), 0.0) == 0.0
 
     def test_cap_saturates(self):
         # 50 coincident points with eta(0)*50 >> V_max
-        pts = np.tile(axis_point(2, 0.5).z, (50, 1))
-        config = Configuration(pts, 10.0, 0.0, 2)
-        v = value_at(FactorPotential(self.spec, config), axis_point(2, 0.5))
+        config = axis_config(np.full(50, 0.5), 10.0)
+        v = value_at(FactorPotential(self.spec, config), 0.5)
         assert v == self.spec.v_max
 
     def test_single_trap_profile(self):
-        config = Configuration(origin(2).z[None, :], 10.0, 0.0, 2)
-        pot = FactorPotential(self.spec, config)
+        pot = FactorPotential(self.spec, axis_config([0.0], 10.0))
         for r in (0.0, 0.3, 0.7, 0.99):
             expected = min(self.spec.v_max, float(self.spec.profile(r)))
-            assert abs(value_at(pot, axis_point(2, r)) - expected) < 1e-12
+            assert abs(value_at(pot, r) - expected) < 1e-12
 
     def test_window_violation(self):
-        config = Configuration(origin(2).z[None, :], 3.0, 0.0, 2)
-        pot = FactorPotential(self.spec, config)
+        pot = FactorPotential(self.spec, axis_config([0.0], 3.0))
         with pytest.raises(WindowError, match="window too small"):
-            value_at(pot, axis_point(2, 2.5))
+            value_at(pot, 2.5)
 
     def test_rotation_stationarity_exact(self):
         # V(k.omega, k.x) = V(omega, x) exactly for rotations about o
@@ -254,10 +274,8 @@ class TestFactorPotential:
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        A = np.eye(3)
-        A[1:, 1:] = q
-        rotated = Configuration(config.points @ A.T, config.window_radius,
-                                config.intensity, config.d)
+        rotated = Configuration(config.radii, config.directions @ q.T,
+                                config.window_radius, config.intensity)
         rot_pot = FactorPotential(self.spec, rotated)
         for _ in range(20):
             r = rng.uniform(0, 4)
@@ -265,7 +283,7 @@ class TestFactorPotential:
             u /= np.linalg.norm(u)
             v1 = pot.evaluate_polar(np.array([r]), u[None, :])[0]
             v2 = rot_pot.evaluate_polar(np.array([r]), (q @ u)[None, :])[0]
-            # rotating the stored coordinates rounds in the last bits; the
+            # rotating the stored directions rounds in the last bits; the
             # invariance holds to machine precision, not bitwise
             assert abs(v1 - v2) <= 1e-12 * max(1.0, v1)
 
@@ -275,8 +293,9 @@ class TestFactorPotential:
         # the raw sum, without the V_max cap
         uncapped = PotentialSpec(1.0, 1.0, np.inf)
         pot = FactorPotential(uncapped, config)
+        r1, u1 = on_axis(2, [1.0])
         bigger = FactorPotential(uncapped, Configuration(
-            np.vstack([config.points, axis_point(2, 1.0).z]), 6.0, 0.3, 2))
+            np.concatenate([config.radii, r1]), np.vstack([config.directions, u1]), 6.0, 0.3))
         r = rng.uniform(0, 4, size=100)
         u = rng.standard_normal((100, 2))
         u /= np.linalg.norm(u, axis=1)[:, None]
@@ -308,7 +327,7 @@ class TestFactorPotential:
 
     def assert_cut_matches_dense(self, config, r, u):
         # reference: the profile summed over every trap of the configuration
-        ry, uy = polar_from_ambient(config.points)
+        ry, uy = config.radii, config.directions
         dense = self.spec.profile(polar_distances(r, u, ry, uy)).sum(axis=1)
         uncapped = PotentialSpec(1.0, 1.0, np.inf)
         for spec, want in ((uncapped, dense), (self.spec, np.minimum(self.spec.v_max, dense))):
@@ -340,8 +359,7 @@ class TestFactorPotential:
         angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
         circle = np.column_stack([np.cos(angles), np.sin(angles)])
         ry = np.repeat([1.5, 2.5, 3.0], len(angles))
-        config = Configuration(ambient_from_polar(ry, np.tile(circle, (3, 1))),
-                               10.0, 0.0, 2)
+        config = Configuration(ry, np.tile(circle, (3, 1)), 10.0, 0.0)
         r = np.array([2.0, 1.9, 1.0, 0.8])
         u = circle[[0, 1, 4, 7]]
         dense = self.assert_cut_matches_dense(config, r, u)
@@ -352,9 +370,9 @@ class TestFactorPotential:
     def test_radius_cut_keeps_no_trap_or_every_trap(self):
         rng = np.random.default_rng(12)
         config = sample_configuration(2, 6.0, 1.0, rng)
-        ry, _ = polar_from_ambient(config.points)
+        ry = config.radii
         # keeps none: a scene with no trap inside radius 2.2, queries up to 1
-        outer = Configuration(config.points[ry > 2.2], 6.0, 1.0, 2)
+        outer = Configuration(ry[ry > 2.2], config.directions[ry > 2.2], 6.0, 1.0)
         r = np.concatenate([[1.0], rng.uniform(0.0, 1.0, 4)])
         dense = self.assert_cut_matches_dense(outer, r, unit_directions(rng, 5))
         assert len(outer) > 0 and np.all(dense == 0.0)
@@ -373,11 +391,12 @@ class TestFactorPotential:
         rng = np.random.default_rng(14)
         angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
         circle = np.column_stack([np.cos(angles), np.sin(angles)])
-        rings = ambient_from_polar(np.repeat([1.5, 2.5, 3.0, 4.0], 12), np.tile(circle, (4, 1)))
         scene = sample_configuration(2, 8.0, 1.0, rng)
-        far = scene.points[polar_from_ambient(scene.points)[0] > 1.5]
-        config = Configuration(np.vstack([rings, far]), 8.0, 1.0, 2)
-        ry, uy = polar_from_ambient(config.points)
+        far = scene.radii > 1.5
+        config = Configuration(
+            np.concatenate([np.repeat([1.5, 2.5, 3.0, 4.0], 12), scene.radii[far]]),
+            np.vstack([np.tile(circle, (4, 1)), scene.directions[far]]), 8.0, 1.0)
+        ry, uy = config.radii, config.directions
         ry_sorted = np.sort(ry)
         edges = [c for j in range(3, 13) for c in (2**j - 1, 2**j, 2**j + 1)]
         edges = [c for c in edges if ry_sorted[c - 1] < ry_sorted[c]]
