@@ -353,7 +353,7 @@ def cmd_contour_check(cfg, out):
     op, spec_out = _oracle(cfg)
     center = spec_out.rho
     radius = spec_out.gap / 2.0
-    vec, rayleigh = spectral.contour_projector(op, center, radius)
+    vec, rayleigh = spectral.contour_projector(spec_out, center, radius)
     diff = vec - spec_out.phi
     err_vec = float(np.sqrt(op.weighted_dot(diff, diff)))
     err_val = abs(rayleigh - spec_out.rho)

@@ -71,12 +71,12 @@ def _draws(rng, n):
 
 
 def _row_dot(a, b):
-    """Row sums of a * b over (N, d) arrays, folding the d columns left to
-    right.  Below 8 columns this is bitwise numpy's sum along each row, at a
-    fraction of its per-row cost."""
-    s = a[:, 0] * b[:, 0]
-    for j in range(1, a.shape[1]):
-        s += a[:, j] * b[:, j]
+    """Sums of a * b over the last axis (d columns, broadcasting the rest),
+    folding the columns left to right.  Below 8 columns this is bitwise
+    numpy's sum along each row, at a fraction of its per-row cost."""
+    s = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        s += a[..., j] * b[..., j]
     return s
 
 
@@ -92,11 +92,11 @@ def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
 
     `rng` is one generator, or a sequence of (generator, rows) pairs: the
     independent streams walked in lockstep, each drawing its own rows of
-    the (N / blocks, d) Gaussian block in order.  That block is tiled over
+    the (N / blocks, d) Gaussian block in order.  That block broadcasts over
     `blocks` equal blocks of paths, which share the draw; without a drift
     the draw's geometry (n, sinh n / n and cosh n) is computed once on the
-    block and tiled with it.  Row sums and norms fold the d columns left to
-    right, which is bitwise numpy's reduction along a row below 8 columns.
+    block and broadcast with it.  Row sums and norms fold the d columns left
+    to right, which is bitwise numpy's reduction along a row below 8 columns.
     Every operation acts row by row, so each row takes bitwise the step it
     would take alone from its own state with its generator's state.
     """
@@ -112,20 +112,19 @@ def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     n = np.sqrt(_row_dot(xi, xi))
     sinc = np.where(n > 1e-300, np.sinh(n) / np.maximum(n, 1e-300), 1.0)
     cosh_n = np.cosh(n)
-    if blocks > 1:
-        xi = np.tile(xi, (blocks, 1))
-        sinc = np.tile(sinc, blocks)
-        cosh_n = np.tile(cosh_n, blocks)
+    # one block of paths per leading index: the draw's rows broadcast over them
+    r = r.reshape(blocks, -1)
+    u = u.reshape(blocks, -1, d)
     xi_r = _row_dot(xi, u)
-    xi_perp = xi - xi_r[:, None] * u
+    xi_perp = xi - xi_r[..., None] * u
     alpha = cosh_n * np.sinh(r) + sinc * xi_r * np.cosh(r)
-    vec = alpha[:, None] * u + sinc[:, None] * xi_perp
+    vec = alpha[..., None] * u + sinc[..., None] * xi_perp
     norm = np.sqrt(_row_dot(vec, vec))
     r_new = np.arcsinh(norm)
-    u_new = np.where(norm[:, None] > 1e-300, vec / np.maximum(norm, 1e-300)[:, None], u)
+    u_new = np.where(norm[..., None] > 1e-300, vec / np.maximum(norm, 1e-300)[..., None], u)
     # keep directions exactly unit against slow drift
-    u_new = u_new / np.sqrt(_row_dot(u_new, u_new))[:, None]
-    return r_new, u_new
+    u_new = u_new / np.sqrt(_row_dot(u_new, u_new))[..., None]
+    return r_new.reshape(N), u_new.reshape(N, d)
 
 
 @dataclass

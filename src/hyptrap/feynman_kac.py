@@ -22,6 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads numpy.random on first use: load it with the package, not in the
+# first default_rng call of a run
+import numpy.random  # noqa: F401
 
 from hyptrap import diffusion, spectral
 from hyptrap.ppp import PotentialField

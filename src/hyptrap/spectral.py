@@ -9,10 +9,10 @@ resolvents and contour projectors all act on the same tridiagonal form.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 
 N_QUAD = 64  # trapezoid nodes on the contour projector's circle
@@ -98,40 +98,113 @@ def build_radial_operator(d, r_max, m, potential) -> RadialOperator:
     return RadialOperator(d, r_max, m, grid, dr, w, wf, V, diag, off)
 
 
+def _sturm_count(diag, off, x):
+    """The number of eigenvalues below x of the symmetric tridiagonal matrix
+    (diag, off[1:]), given as lists with off[0] = 0: the negative pivots of
+    the LDL^T factorization of T - x (Sylvester)."""
+    below = 0
+    q = 1.0
+    for a, b in zip(diag, off):
+        q = a - x - b / q * b
+        if q <= 0.0:
+            below += 1
+            if q == 0.0:
+                q = -sys.float_info.min
+    return below
+
+
 def solve_ground_state(op: RadialOperator) -> RadialSpectrum:
-    """Lowest eigenpair by the LAPACK bisection + inverse-iteration path."""
-    vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 1))
-    rho = float(vals[0])
-    gap = float(vals[1] - vals[0])
+    """Lowest eigenpair and the gap, by the path LAPACK's select="i" takes.
+
+    Sturm counts bisect the two lowest eigenvalues of the symmetric form from
+    its Gershgorin interval (Barth, Martin and Wilkinson 1967), every count
+    narrowing both brackets, until no double lies inside a bracket.  The
+    count at the lower end sigma of lambda_0's bracket found every pivot of
+    T - sigma positive, and `_factor` computes those same pivots: with the
+    negative couplings, the inverse iteration at sigma from the constant
+    vector then adds positive terms only.  It runs until the Rayleigh
+    quotient stops decreasing by more than its rounding, eps ||T||.
+    """
+    diag = op.diag.tolist()
+    off = op.offdiag.tolist()
+    padded = [0.0, *off]
+    radius = np.abs(np.r_[op.offdiag, 0.0]) + np.abs(np.r_[0.0, op.offdiag])
+    lo, hi = float(np.min(op.diag - radius)), float(np.max(op.diag + radius))
+    brackets = [[lo, hi], [lo, hi]]
+    for bracket in brackets:
+        while bracket[0] < (x := 0.5 * (bracket[0] + bracket[1])) < bracket[1]:
+            below = _sturm_count(diag, padded, x)
+            for k, other in enumerate(brackets):
+                if below > k:
+                    other[1] = min(other[1], x)
+                else:
+                    other[0] = max(other[0], x)
+    rho = 0.5 * sum(brackets[0])
+    gap = 0.5 * sum(brackets[1]) - rho
     if gap < 1e-12:
         raise RuntimeError("numerically degenerate ground state")
-    u = vecs[:, 0]
-    phi = u / np.sqrt(op.weights)
-    # ground state of a tridiagonal operator with negative couplings has a sign
-    if np.sum(phi * op.weights) < 0:
-        phi = -phi
+    sigma = brackets[0][0]
+    factors = _factor([a - sigma for a in diag], off)
+    u = np.ones(op.m)
+    rayleigh = np.inf
+    tol = np.finfo(float).eps * max(abs(lo), abs(hi))
+    while True:
+        u = _solve(factors, u.tolist())
+        u /= np.linalg.norm(u)
+        phi = u / np.sqrt(op.weights)
+        quotient = op.weighted_dot(phi, op.apply(phi)) / op.dr
+        if not quotient < rayleigh - tol:
+            break
+        rayleigh = quotient
     if np.any(phi <= 0):
         raise RuntimeError("ground state failed positivity")
     phi = phi / op.weighted_norm(phi)
     return RadialSpectrum(rho, phi, gap, op.grid, op)
 
 
-def _banded(diag, off):
-    m = diag.shape[0]
-    ab = np.zeros((3, m), dtype=np.result_type(diag, off))
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
-    return ab
+def _factor(diag, off):
+    """LU factors of the symmetric tridiagonal matrix (diag, off), lists of
+    real or complex numbers, without row interchanges: the pivots, the
+    multipliers and the couplings, in the arithmetic of LAPACK's banded
+    solver when it swaps no rows.  The pivots are bitwise `_sturm_count`'s,
+    positive for T - sigma below the spectrum; those of T - z stay |Im z| or
+    more from 0."""
+    p = diag[0]
+    pivots, mult = [p], []
+    for a, b in zip(diag[1:], off):
+        l = b / p
+        p = a - l * b
+        mult.append(l)
+        pivots.append(p)
+    return pivots, mult, off
+
+
+def _solve(factors, rhs):
+    """T^{-1} rhs for a list rhs, from `_factor`'s factors of T."""
+    pivots, mult, off = factors
+    y = rhs[0]
+    fwd = [y]
+    for x, l in zip(rhs[1:], mult):
+        y = x - l * y
+        fwd.append(y)
+    u = fwd[-1] / pivots[-1]
+    out = [u]
+    for y, p, b in zip(fwd[-2::-1], pivots[-2::-1], off[::-1]):
+        u = (y - b * u) / p
+        out.append(u)
+    return np.array(out[::-1])
+
+
+def _resolvent(op: RadialOperator, z):
+    """w -> (H - z)^{-1} w, with H - z factored once."""
+    s = np.sqrt(op.weights)
+    factors = _factor((op.diag - z).tolist(), op.offdiag.tolist())
+    return lambda w: _solve(factors, (s * w).tolist()) / s
 
 
 def direct_resolvent_solve(op: RadialOperator, z, w_vec):
-    """(H - z)^{-1} w by a direct banded solve (the projector's workhorse)."""
-    s = np.sqrt(op.weights)
-    rhs = s * np.asarray(w_vec, dtype=complex)
-    ab = _banded(op.diag.astype(complex) - z, op.offdiag.astype(complex))
-    u = solve_banded((1, 1), ab, rhs)
-    return u / s
+    """(H - z)^{-1} w by a direct tridiagonal solve (the projector's workhorse)."""
+    return _resolvent(op, complex(z))(w_vec)
 
 
 def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=60):
@@ -144,13 +217,14 @@ def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=60):
         op.d, op.r_max, op.m, op.grid, op.dr, op.weights, op.face_weights,
         np.zeros_like(op.potential), op.diag - op.potential, op.offdiag,
     )
-    term = direct_resolvent_solve(free, z, w_vec)
+    solve = _resolvent(free, complex(z))
+    term = solve(w_vec)
     total = term.copy()
     prev_norm = np.sqrt(op.weighted_dot(term, term))
     n_bad = 0
     ratio = 0.0
     for _ in range(1, k_max + 1):
-        term = direct_resolvent_solve(free, z, -op.potential * term)
+        term = solve(-op.potential * term)
         total += term
         norm = np.sqrt(op.weighted_dot(term, term))
         if norm >= prev_norm and norm > 0:
@@ -169,13 +243,15 @@ def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=60):
     return total, tail
 
 
-def contour_projector(op: RadialOperator, center, radius, n_quad=N_QUAD):
-    """Riesz projector applied to the constant vector, by circular trapezoid.
+def contour_projector(spec: RadialSpectrum, center, radius, n_quad=N_QUAD):
+    """Riesz projector of spec's operator applied to the constant vector, by
+    circular trapezoid.
 
     Returns the normalized real vector P.1/||P.1|| and its Rayleigh quotient.
-    The circle must enclose exactly the lowest eigenvalue.
+    The circle must enclose exactly the lowest eigenvalue, which `spec`
+    locates.
     """
-    spec = solve_ground_state(op)
+    op = spec.operator
     lam2 = spec.rho + spec.gap
     inside1 = abs(spec.rho - center) < radius
     inside2 = abs(lam2 - center) < radius
@@ -220,10 +296,7 @@ def survival_harmonic(op: RadialOperator):
     rhs = np.zeros(op.m)
     # boundary value 1 on the outer face, half a cell from the last center
     rhs[-1] = op.face_weights[-1] / (op.weights[-1] * op.dr**2)
-    s = np.sqrt(op.weights)
-    ab = _banded(op.diag, op.offdiag)
-    u = solve_banded((1, 1), ab, s * rhs)
-    h = u / s
+    h = _resolvent(op, 0.0)(rhs)
     if np.any(h <= 0):
         raise RuntimeError("survival harmonic failed positivity")
     return h
@@ -239,6 +312,9 @@ def finite_horizon_survival(op: RadialOperator, T):
     eigensolve uses LAPACK's MRRR driver (stemr): the default divide and
     conquer merges with threaded BLAS, so its bits depend on the thread count.
     """
+    # a local import: only full-pipeline and doob-compare need scipy.linalg
+    from scipy.linalg import eigh_tridiagonal
+
     h = survival_harmonic(op)
     vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, lapack_driver="stemr")
     s = np.sqrt(op.weights)

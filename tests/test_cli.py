@@ -435,26 +435,33 @@ def test_console_script_is_main():
     assert getattr(importlib.import_module(module), attr) is main
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # every command starts on numpy and scipy.linalg alone: importing the CLI
-    # and building a sampled Poisson scene load no other scipy subpackage
-    # (scipy.special and scipy.interpolate load inside the two functions that
-    # full-pipeline and doob-compare reach)
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # every command but full-pipeline and doob-compare runs on numpy alone:
+    # importing the CLI, building a sampled Poisson scene and running the
+    # other commands load no scipy subpackage (scipy.linalg, scipy.special and
+    # scipy.interpolate load only inside functions that those two reach)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     cfg = Path(cli.__file__).parents[2] / "bench" / "workloads" / "poisson-rho.cfg"
+    commands = ["radial-oracle", "estimate-rho", "phi-profile", "q-marginal",
+                "born-check", "contour-check", "fock-check"]
     code = f"""
-import sys
-heavy = ("scipy.integrate", "scipy.interpolate", "scipy.special",
+import contextlib, sys
+heavy = ("scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.special",
          "scipy.optimize", "scipy.stats")
 from hyptrap import cli
 print(sorted(m for m in heavy if m in sys.modules))
 cfg = cli.resolve_config(cli.parse_config({str(cfg)!r}))
 _, config, _ = cli.build_scene(cfg)
 print(len(config) > 0, sorted(m for m in heavy if m in sys.modules))
+for command in {commands!r}:
+    with contextlib.redirect_stdout(sys.stderr):
+        rc = cli.main([command, "--config", {write_config(tmp_path)!r},
+                       "--out", {str(tmp_path)!r} + "/" + command])
+    print(command, rc, sorted(m for m in heavy if m in sys.modules))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "[]\nTrue []\n"
+    assert out == "[]\nTrue []\n" + "".join(f"{c} 0 []\n" for c in commands)
 
 
 def test_every_config_key_is_read():

@@ -189,7 +189,7 @@ class TestContourProjector:
 
     def test_matches_eigensolver(self):
         vec, rayleigh = contour_projector(
-            self.op, self.spec.rho, self.spec.gap / 2.0, n_quad=64)
+            self.spec, self.spec.rho, self.spec.gap / 2.0, n_quad=64)
         diff = vec - self.spec.phi
         assert np.sqrt(self.op.weighted_dot(diff, diff)) < 1e-8
         assert abs(rayleigh - self.spec.rho) < 1e-10
@@ -203,16 +203,62 @@ class TestContourProjector:
 
     def test_bad_contour_rejected(self):
         with pytest.raises(ContourError):
-            contour_projector(self.op, self.spec.rho, 10.0 * self.spec.gap)
+            contour_projector(self.spec, self.spec.rho, 10.0 * self.spec.gap)
         with pytest.raises(ContourError):
-            contour_projector(self.op, self.spec.rho + 5.0, self.spec.gap / 2.0)
+            contour_projector(self.spec, self.spec.rho + 5.0, self.spec.gap / 2.0)
 
     def test_free_projector_recovers_eigenvector(self):
         op = build_radial_operator(2, 30.0, 1000, zero_potential)
         spec = solve_ground_state(op)
-        vec, rayleigh = contour_projector(op, spec.rho, spec.gap / 2.0)
+        vec, rayleigh = contour_projector(spec, spec.rho, spec.gap / 2.0)
         diff = vec - spec.phi
         assert np.sqrt(op.weighted_dot(diff, diff)) < 1e-8
+
+
+# the grids of the LAPACK reference tests: the CLI default, a far wall on a
+# fine grid, and the smallest grid `check_grid` allows
+LAPACK_GRIDS = [(d, r_max, m) for d in (2, 3, 5)
+                for r_max, m in ((30.0, 3000), (100.0, 10_000), (5.0, 50))]
+
+
+class TestAgainstLapack:
+    """The numpy ground pair and tridiagonal solves against scipy.linalg."""
+
+    @pytest.mark.parametrize("d,r_max,m", LAPACK_GRIDS)
+    def test_ground_pair(self, d, r_max, m):
+        from scipy.linalg import eigh_tridiagonal
+
+        op = build_radial_operator(d, r_max, m, trap_potential)
+        spec = solve_ground_state(op)
+        vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 1))
+        assert abs(spec.rho - vals[0]) <= 1e-10
+        assert abs(spec.gap - (vals[1] - vals[0])) <= 1e-10
+        phi = vecs[:, 0] / np.sqrt(op.weights)
+        phi *= np.sign(np.sum(phi)) / op.weighted_norm(phi)
+        assert op.weighted_norm(spec.phi - phi) <= 1e-9
+
+    @pytest.mark.parametrize("d,r_max,m", LAPACK_GRIDS)
+    def test_solves(self, d, r_max, m):
+        from scipy.linalg import solve_banded
+
+        op = build_radial_operator(d, r_max, m, trap_potential)
+        s = np.sqrt(op.weights)
+        ab = np.zeros((3, m))
+        ab[0, 1:] = ab[2, :-1] = op.offdiag
+        ab[1] = op.diag
+        w = np.random.default_rng(0).standard_normal(m)
+        # real: H itself, positive definite for V >= 0, as survival_harmonic solves it
+        got = spectral._resolvent(op, 0.0)(w)
+        want = solve_banded((1, 1), ab, s * w) / s
+        assert got.dtype == float
+        assert op.weighted_norm(got - want) <= 1e-12 * op.weighted_norm(want)
+        # complex: the resolvent at born-check's z, inside H's spectrum
+        z = solve_ground_state(op).rho + 0.15j
+        ab = ab.astype(complex)
+        ab[1] -= z
+        got = direct_resolvent_solve(op, z, w)
+        want = solve_banded((1, 1), ab, s * w) / s
+        assert op.weighted_norm(got - want) <= 1e-12 * op.weighted_norm(want)
 
 
 class TestSurvivalHarmonic:
