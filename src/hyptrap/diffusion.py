@@ -12,6 +12,13 @@ to cancellation once r exceeds ~18, while the polar update below is built
 from same-sign terms and keeps absolute machine accuracy in r at any radius
 the walks reach.  The ambient form is only an output format
 (`configuration.json`, the path CSVs).
+
+Inside a walk the directions are column-major, (d, N) with one contiguous
+row per component, so each operation of a step runs over the N paths rather
+than over d entries at a time, and the Gaussian draws come several steps per
+generator call.  Neither changes a bit: the arithmetic is the same per path,
+and a generator emits the same numbers in the same order.  Everything
+outside a walk sees (N, d) directions.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_STEP = 0.1
+#: Gaussian draws, in doubles, that a walk holds at once (`ensemble_walk`)
+DRAW_BUFFER = 1 << 14
 
 
 def on_axis(d, radii):
@@ -65,22 +74,31 @@ def on_step_grid(t, h):
 
 
 def _draws(rng, n):
-    """A step's Gaussian draws as (generator, rows) pairs: a single generator
+    """A walk's Gaussian draws as (generator, rows) pairs: a single generator
     draws all n rows of a block."""
     return [(rng, n)] if isinstance(rng, np.random.Generator) else list(rng)
 
 
-def _row_dot(a, b):
-    """Sums of a * b over the last axis (d columns, broadcasting the rest),
-    folding the columns left to right.  Below 8 columns this is bitwise
-    numpy's sum along each row, at a fraction of its per-row cost."""
-    s = a[..., 0] * b[..., 0]
-    for j in range(1, a.shape[-1]):
-        s += a[..., j] * b[..., j]
+def _column_draws(draws, m, d, h):
+    """The next m steps' scaled draws, (m, d, n) in C order: step k's draw is
+    the contiguous (d, n) block [k].  Each stream makes one (m, rows, d)
+    call, which a generator fills in C order, so it emits the numbers that m
+    calls of (rows, d) would, in the same order."""
+    xi = np.concatenate([g.standard_normal((m, rows, d)) for g, rows in draws], axis=1)
+    return np.multiply(xi.transpose(0, 2, 1), np.sqrt(h), order="C")
+
+
+def _column_dot(a, b):
+    """Sums of a * b over the first axis (the d components, broadcasting the
+    rest), folding the components left to right.  Below 8 components this is
+    bitwise numpy's sum along each row of the (N, d) layout."""
+    s = a[0] * b[0]
+    for j in range(1, len(a)):
+        s += a[j] * b[j]
     return s
 
 
-def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
+def step_polar(r, U, h, xi, drift_fn=None):
     """Advance a polar-state batch by one geodesic-random-walk step.
 
     The Gaussian tangent components xi split into the part along the radial
@@ -90,41 +108,43 @@ def step_polar(r, u, h, rng, drift_fn=None, blocks=1):
     with n = |xi|.  Both coefficients are cancellation-free, so r' is read
     off as arcsinh of the norm.
 
-    `rng` is one generator, or a sequence of (generator, rows) pairs: the
-    independent streams walked in lockstep, each drawing its own rows of
-    the (N / blocks, d) Gaussian block in order.  That block broadcasts over
-    `blocks` equal blocks of paths, which share the draw; without a drift
-    the draw's geometry (n, sinh n / n and cosh n) is computed once on the
-    block and broadcast with it.  Row sums and norms fold the d columns left
-    to right, which is bitwise numpy's reduction along a row below 8 columns.
-    Every operation acts row by row, so each row takes bitwise the step it
-    would take alone from its own state with its generator's state.
+    The state is column-major: r (N,) and directions U (d, N), one
+    contiguous row per component, so every operation runs over the paths.
+    `xi` is the step's Gaussian draw scaled by sqrt(h), (d, n) for one block
+    of n paths; it broadcasts over the N / n equal blocks of paths, which
+    share it, and without a drift the draw's geometry (n, sinh n / n and
+    cosh n) is computed once on the block and broadcast with it.  Sums over
+    the components fold them left to right, which is bitwise numpy's row
+    reduction below 8 components, and the 1e-300 guards divide by the
+    guarded value and patch the guarded paths, which is bitwise np.where's
+    result.  Every operation acts path by path, so each path takes bitwise
+    the step it would take alone from its own state and draw.  Returns
+    r' (N,) and U' (d, N).
     """
-    N, d = u.shape
-    draws = _draws(rng, N // blocks)
-    if sum(n for _, n in draws) * blocks != N:
-        raise ValueError("the streams' rows must add up to one block of paths")
-    xi = np.concatenate([g.standard_normal((n, d)) for g, n in draws]) * np.sqrt(h)
+    d, N = U.shape
+    blocks = N // xi.shape[1]
     if drift_fn is not None:
-        # the drift gives every row its own xi: nothing is shared from here
-        xi = np.tile(xi, (blocks, 1)) + (h * drift_fn(r))[:, None] * u
+        # the drift gives every path its own xi: nothing is shared from here
+        xi = np.tile(xi, blocks) + (h * drift_fn(r)) * U
         blocks = 1
-    n = np.sqrt(_row_dot(xi, xi))
-    sinc = np.where(n > 1e-300, np.sinh(n) / np.maximum(n, 1e-300), 1.0)
+    n = np.sqrt(_column_dot(xi, xi))
+    sinc = np.sinh(n) / np.maximum(n, 1e-300)
+    sinc[~(n > 1e-300)] = 1.0
     cosh_n = np.cosh(n)
-    # one block of paths per leading index: the draw's rows broadcast over them
+    # one block of paths per middle index: the draw's columns broadcast over them
     r = r.reshape(blocks, -1)
-    u = u.reshape(blocks, -1, d)
-    xi_r = _row_dot(xi, u)
-    xi_perp = xi - xi_r[..., None] * u
+    U = U.reshape(d, blocks, -1)
+    xi_r = _column_dot(xi, U)
+    xi_perp = xi[:, None, :] - xi_r * U
     alpha = cosh_n * np.sinh(r) + sinc * xi_r * np.cosh(r)
-    vec = alpha[..., None] * u + sinc[..., None] * xi_perp
-    norm = np.sqrt(_row_dot(vec, vec))
+    vec = alpha * U + sinc * xi_perp
+    norm = np.sqrt(_column_dot(vec, vec))
     r_new = np.arcsinh(norm)
-    u_new = np.where(norm[..., None] > 1e-300, vec / np.maximum(norm, 1e-300)[..., None], u)
+    U_new = vec / np.maximum(norm, 1e-300)
+    np.copyto(U_new, U, where=~(norm > 1e-300))
     # keep directions exactly unit against slow drift
-    u_new = u_new / np.sqrt(_row_dot(u_new, u_new))[..., None]
-    return r_new.reshape(N), u_new.reshape(N, d)
+    U_new /= np.sqrt(_column_dot(U_new, U_new))
+    return r_new.reshape(N), U_new.reshape(d, N)
 
 
 @dataclass
@@ -148,31 +168,46 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
 
     This is the one geodesic-walk loop: every estimator and `simulate-bm`'s
     path dump advance through it.  `rng` is one generator or a sequence of
-    (generator, rows) pairs, the independent streams of each block
-    (`step_polar`); every step makes one `step_polar` and one
-    `evaluate_polar` call for all of them.  The N paths may stack `blocks`
-    equal blocks, each from its own starts, that share every Gaussian draw.
-    The step and the potential are functions of each row alone, so every
-    (stream, block) segment is bitwise the walk that stream would take
-    alone from that block's starts.
+    (generator, rows) pairs, the independent streams of each block, which
+    draw their own rows of the block's Gaussian draw in order; every step
+    makes one `step_polar` and one `evaluate_polar` call for all of them.
+    The N paths may stack `blocks` equal blocks of n paths, each from its own
+    starts, that share every Gaussian draw.
+
+    The walk holds the directions column-major, (d, N), for `step_polar`,
+    and hands `evaluate_polar` their (N, d) transpose as a view.  Each
+    stream draws several steps per generator call, as many as keep the
+    walk's draws within DRAW_BUFFER doubles (one step at a time for a wide
+    ensemble), and never past the last step, so a generator is left where
+    per-step draws would leave it.  The step and the potential are functions
+    of each path alone, so every (stream, block) segment is bitwise the walk
+    that stream would take alone from that block's starts.  `u` and the
+    snapshots are (N, d) C-order copies.
     """
     _check_step(h)
     r = np.array(r0, dtype=float)
-    u = np.array(u0, dtype=float)
-    draws = _draws(rng, len(r) // blocks)
-    integrals = np.zeros(len(r))
+    U = np.array(np.asarray(u0, dtype=float).T, order="C")
+    d, N = U.shape
+    n = N // blocks
+    draws = _draws(rng, n)
+    if sum(rows for _, rows in draws) * blocks != N:
+        raise ValueError("the streams' rows must add up to one block of paths")
+    chunk = max(1, DRAW_BUFFER // (n * d))
+    integrals = np.zeros(N)
     snapshots = {}
     if potential is not None:
-        v_prev = potential.evaluate_polar(r, u)
+        v_prev = potential.evaluate_polar(r, U.T)
     if 0 in snapshot_steps:
-        snapshots[0] = (r.copy(), u.copy(), integrals.copy())
+        snapshots[0] = (r.copy(), U.T.copy(), integrals.copy())
     for k in range(1, n_steps + 1):
-        r, u = step_polar(r, u, h, draws, drift_fn=drift_fn, blocks=blocks)
+        j = (k - 1) % chunk
+        if j == 0:
+            xi = _column_draws(draws, min(chunk, n_steps + 1 - k), d, h)
+        r, U = step_polar(r, U, h, xi[j], drift_fn=drift_fn)
         if potential is not None:
-            v_cur = potential.evaluate_polar(r, u)
+            v_cur = potential.evaluate_polar(r, U.T)
             integrals += 0.5 * h * (v_prev + v_cur)
             v_prev = v_cur
         if k in snapshot_steps:
-            snapshots[k] = (r.copy(), u.copy(), integrals.copy())
-    return WalkResult(r, u, integrals, snapshots)
-
+            snapshots[k] = (r.copy(), U.T.copy(), integrals.copy())
+    return WalkResult(r, U.T.copy(), integrals, snapshots)

@@ -94,7 +94,15 @@ def build_radial_operator(d, r_max, m, potential) -> RadialOperator:
     # last center, which doubles that face's flux coefficient; this keeps
     # the eigenvalue error at O(1/m^2) instead of O(1/m)
     diag[-1] += 0.5 * wf[-1] / (w[-1] * dr**2)
-    off = -0.5 * wf[1:-1] / (dr**2 * np.sqrt(w[:-1] * w[1:]))
+    # sqrt(w w') of neighbouring cells; where the product overflows (d = 5
+    # past r ~ 89) it is sqrt(w) sqrt(w'), and only there, since that rounds
+    # differently
+    with np.errstate(over="ignore"):
+        w_pair = w[:-1] * w[1:]
+    root = np.sqrt(w_pair)
+    far = np.isinf(w_pair)
+    root[far] = np.sqrt(w[:-1][far]) * np.sqrt(w[1:][far])
+    off = -0.5 * wf[1:-1] / (dr**2 * root)
     return RadialOperator(d, r_max, m, grid, dr, w, wf, V, diag, off)
 
 
@@ -275,15 +283,21 @@ def contour_projector(spec: RadialSpectrum, center, radius, n_quad=N_QUAD):
 
 
 def apply_projector(op: RadialOperator, center, radius, vec, n_quad=N_QUAD):
-    """Riesz projector applied to `vec` by the trapezoid rule on the circle."""
-    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
-    acc = np.zeros(op.m, dtype=complex)
+    """Riesz projector applied to the real `vec` by the trapezoid rule on the
+    circle.
+
+    H is real, so the solves at the nodes k and n_quad - k are complex
+    conjugates: the nodes 0..n_quad/2 carry the sum's real part, each one
+    strictly between 0 and n_quad/2 counting twice.
+    """
+    acc = np.zeros(op.m)
     # P = (1/2pi i) contour integral of (z - H)^{-1}; with the direct solver
     # returning (H - z)^{-1} this is minus the mean of r e^{i theta} R(z) vec
-    for t in theta:
-        z = center + radius * np.exp(1j * t)
-        acc += radius * np.exp(1j * t) * direct_resolvent_solve(op, z, vec)
-    return -np.real(acc) / n_quad
+    for k in range(n_quad // 2 + 1):
+        e = radius * np.exp(1j * (2.0 * np.pi * k / n_quad))
+        term = np.real(e * direct_resolvent_solve(op, center + e, vec))
+        acc += term if 2 * k in (0, n_quad) else 2.0 * term
+    return -acc / n_quad
 
 
 def survival_harmonic(op: RadialOperator):

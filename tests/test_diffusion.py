@@ -6,6 +6,7 @@ from scipy import stats
 
 from conftest import minkowski_dot, radial_drift, radial_oracle_final, step_polar_reference
 from hyptrap.diffusion import (
+    DRAW_BUFFER,
     ambient_from_polar,
     ensemble_walk,
     on_axis,
@@ -75,7 +76,7 @@ class TestBmStep:
         rng = np.random.default_rng(3)
         h, n = 0.01, 100_000
         r, u = origin_state(n, 2)
-        r, u = step_polar(r, u, h, rng)
+        r = ensemble_walk(r, u, 1, h, rng).r
         sq = r**2
         se = sq.std(ddof=1) / np.sqrt(n)
         assert abs(sq.mean() - 2 * h) < 3 * se + 5 * h**2
@@ -105,24 +106,33 @@ def kernel_streams(seeds):
     return [(g1, 5), (ZeroDraws(), 3), (g2, 4)]
 
 
+def column_draw(streams, d, h):
+    """One step's scaled (d, n) draw for `step_polar`, read from the streams
+    as `step_polar_reference` reads them."""
+    xi = np.concatenate([g.standard_normal((n, d)) for g, n in streams]) * np.sqrt(h)
+    return np.ascontiguousarray(xi.T)
+
+
 class TestStepKernel:
-    """`step_polar` against the step written with numpy's row reductions."""
+    """`step_polar` against the step written with numpy's row reductions,
+    both fed the same draws."""
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     @pytest.mark.parametrize("blocks", [1, 5])
     @pytest.mark.parametrize("drift", [None, lambda rr: 0.5 - rr])
     def test_matches_reference_bitwise(self, d, blocks, drift):
         r0, u0, seeds = kernel_inputs(d, blocks, 30 + d)
-        got = want = (r0, u0)
+        r, U = r0, np.ascontiguousarray(u0.T)
+        want = (r0, u0)
         streams, ref_streams = kernel_streams(seeds), kernel_streams(seeds)
         for _ in range(3):
-            got = step_polar(*got, 0.01, streams, drift_fn=drift, blocks=blocks)
+            r, U = step_polar(r, U, 0.01, column_draw(streams, d, 0.01), drift_fn=drift)
             want = step_polar_reference(*want, 0.01, ref_streams, drift_fn=drift, blocks=blocks)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(r, want[0]) and np.array_equal(U.T, want[1])
         if drift is None:
             # the zero draws leave the origin rows where they were
             still = np.isin(np.arange(len(r0)) % 12, [5, 6, 7]) & (r0 == 0.0)
-            assert still.any() and np.all(got[0][still] == 0.0)
+            assert still.any() and np.all(r[still] == 0.0)
 
     @pytest.mark.parametrize("blocks", [1, 5])
     def test_eight_columns_within_ulp(self, blocks):
@@ -130,10 +140,37 @@ class TestStepKernel:
         # direction's components are measured in ulps of its unit length,
         # since those near zero come out of a cancellation
         r0, u0, seeds = kernel_inputs(8, blocks, 40)
-        got = step_polar(r0, u0, 0.01, kernel_streams(seeds), blocks=blocks)
+        r, U = step_polar(r0, np.ascontiguousarray(u0.T), 0.01,
+                          column_draw(kernel_streams(seeds), 8, 0.01))
         want = step_polar_reference(r0, u0, 0.01, kernel_streams(seeds), blocks=blocks)
-        np.testing.assert_array_max_ulp(got[0], want[0], maxulp=4)
-        assert np.max(np.abs(got[1] - want[1])) <= 4 * np.finfo(float).eps
+        np.testing.assert_array_max_ulp(r, want[0], maxulp=4)
+        assert np.max(np.abs(U.T - want[1])) <= 4 * np.finfo(float).eps
+
+
+class TestDrawAccounting:
+    """`ensemble_walk` draws several steps per generator call; the walk and
+    the generators' next draws are those of per-step draws."""
+
+    @pytest.mark.parametrize("streams", [1, 16])
+    def test_generators_end_where_per_step_draws_leave_them(self, streams):
+        d, blocks = 2, (1 if streams == 1 else 3)
+        n = 100 if streams == 1 else 40
+        sizes = [n // streams + (i < n % streams) for i in range(streams)]
+        m = DRAW_BUFFER // (n * d)
+        assert m > 1
+        r0, u0 = on_axis(d, np.repeat(np.linspace(0.0, 3.0, blocks), n))
+        for n_steps in (0, 1, m - 1, m, m + 1, 2 * m + 3):
+            walked = [np.random.default_rng(60 + i) for i in range(streams)]
+            stepped = [np.random.default_rng(60 + i) for i in range(streams)]
+            rng = walked[0] if streams == 1 else list(zip(walked, sizes))
+            res = ensemble_walk(r0, u0, n_steps, 0.01, rng, blocks=blocks)
+            r, u = r0, u0
+            for _ in range(n_steps):
+                r, u = step_polar_reference(r, u, 0.01, list(zip(stepped, sizes)),
+                                            blocks=blocks)
+            assert np.array_equal(res.r, r) and np.array_equal(res.u, u)
+            assert res.u.flags.c_contiguous
+            assert [g.standard_normal() for g in walked] == [g.standard_normal() for g in stepped]
 
 
 class TestSimulatePath:

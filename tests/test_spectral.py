@@ -100,6 +100,14 @@ class TestBuildRadialOperator:
         s = solve_ground_state(op)
         assert s.rho > -1e-9
 
+    def test_far_wall_couplings_d5(self):
+        # sinh^4 at neighbouring centres multiplies past the largest double
+        # beyond r ~ 89; no coupling may vanish there, or the outer cells
+        # decouple and the survival harmonic loses positivity
+        op = build_radial_operator(5, 100.0, 10_000, trap_potential)
+        assert np.all(op.offdiag < 0) and np.all(np.isfinite(op.offdiag))
+        assert np.all(survival_harmonic(op) > 0)
+
     def test_mesh_richardson_ratio(self):
         # smooth potential so the leading discretization error is a clean
         # O(1/M^2) term (the capped trap has a corner where the cap binds)
@@ -200,6 +208,19 @@ class TestContourProjector:
         twice = spectral.apply_projector(self.op, center, radius, once)
         scale = np.max(np.abs(once))
         assert np.max(np.abs(twice - once)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("n_quad", [64, 33])
+    def test_conjugate_nodes_match_every_node(self, n_quad):
+        # the sum over all n_quad nodes, as the trapezoid rule states it
+        center, radius = self.spec.rho, self.spec.gap / 2.0
+        vec = np.random.default_rng(1).standard_normal(self.op.m)
+        acc = np.zeros(self.op.m, dtype=complex)
+        for t in 2.0 * np.pi * np.arange(n_quad) / n_quad:
+            e = radius * np.exp(1j * t)
+            acc += e * direct_resolvent_solve(self.op, center + e, vec)
+        want = -np.real(acc) / n_quad
+        got = spectral.apply_projector(self.op, center, radius, vec, n_quad)
+        assert self.op.weighted_norm(got - want) <= 1e-12 * self.op.weighted_norm(want)
 
     def test_bad_contour_rejected(self):
         with pytest.raises(ContourError):
