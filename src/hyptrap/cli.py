@@ -9,13 +9,14 @@ breaks determinism).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import re
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 import hyptrap
 from hyptrap import diffusion, feynman_kac, fock, spectral, stats
@@ -50,6 +51,18 @@ DEFAULTS = {
     "workers": 1,
     "dump_paths": 0,
 }
+
+
+def _scipy_version():
+    """The installed scipy's version, read from scipy/version.py without
+    running scipy's __init__: only full-pipeline and doob-compare import it."""
+    init = importlib.util.find_spec("scipy").origin
+    text = Path(init).with_name("version.py").read_text(encoding="utf-8")
+    return re.search(r"^version = ['\"]([^'\"]+)['\"]", text, re.MULTILINE).group(1)
+
+
+#: written to every manifest.json; read once, at import
+SCIPY_VERSION = _scipy_version()
 
 
 class ConfigError(ValueError):
@@ -193,7 +206,7 @@ def write_manifest(out_dir, command, cfg, results):
         "versions": {
             "hyptrap": hyptrap.__version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": SCIPY_VERSION,
         },
         "results": results,
     }
@@ -481,17 +494,21 @@ HANDLERS = {
 }
 
 
+# built once, at import: its help strings go through gettext, which loads
+# locale, and that belongs to start-up rather than to the first main() call
+PARSER = argparse.ArgumentParser(
+    prog="hyptrap",
+    description="Brownian motion among Poissonian soft traps on H^d",
+)
+PARSER.add_argument("command", choices=HANDLERS)
+PARSER.add_argument("--config", type=str, default=None, help="flat key=value file")
+PARSER.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+PARSER.add_argument("--workers", type=int, default=None)
+PARSER.add_argument("--out", type=str, default="out")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="hyptrap",
-        description="Brownian motion among Poissonian soft traps on H^d",
-    )
-    parser.add_argument("command", choices=HANDLERS)
-    parser.add_argument("--config", type=str, default=None, help="flat key=value file")
-    parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--out", type=str, default="out")
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
 
     try:
         overrides = parse_config(args.config) if args.config else {}

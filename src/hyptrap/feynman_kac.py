@@ -18,7 +18,6 @@ the same seed gives common random numbers for pairwise comparisons.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +50,9 @@ def _run_groups(fn, streams, workers=1):
     groups = [streams[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     if len(groups) == 1:
         return [fn(groups[0])]
+    # a local import: one worker starts no thread, so it loads no thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=len(groups)) as pool:
         return list(pool.map(fn, groups))
 

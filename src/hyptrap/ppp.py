@@ -66,10 +66,24 @@ def ball_volume(d, R):
 
 
 # 16-point Gauss-Legendre rule on [0, 1]: on a unit panel its relative error
-# for sinh^n is about 3e-55 * n^32, below rounding for every n up to 15
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# for sinh^n is about 3e-55 * n^32, below rounding for every n up to 15.  The
+# doubles are np.polynomial.legendre.leggauss(16) mapped to [0, 1] (nodes
+# (x + 1) / 2, weights w / 2) bit for bit, written out so that importing the
+# package loads no numpy.polynomial and runs no eigensolve
+_GL_NODES = np.array([
+    0.005299532504175031, 0.0277124884633837, 0.06718439880608412,
+    0.1222977958224985, 0.19106187779867811, 0.2709916111713863,
+    0.35919822461037054, 0.4524937450811813, 0.5475062549188188,
+    0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939159, 0.9722875115366163,
+    0.994700467495825])
+_GL_WEIGHTS = np.array([
+    0.013576229705877088, 0.031126761969323728, 0.0475792558412463,
+    0.062314485627767036, 0.07479799440828835, 0.08457825969750132,
+    0.09130170752246182, 0.09472530522753432, 0.09472530522753432,
+    0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
+    0.062314485627767036, 0.0475792558412463, 0.031126761969323728,
+    0.013576229705877088])
 
 
 @functools.lru_cache(maxsize=64)

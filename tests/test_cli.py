@@ -435,33 +435,55 @@ def test_console_script_is_main():
     assert getattr(importlib.import_module(module), attr) is main
 
 
-def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+def test_numpy_only_commands_load_no_scipy_polynomial_or_thread_pool(tmp_path):
     # every command but full-pipeline and doob-compare runs on numpy alone:
     # importing the CLI, building a sampled Poisson scene and running the
-    # other commands load no scipy subpackage (scipy.linalg, scipy.special and
-    # scipy.interpolate load only inside functions that those two reach)
+    # other commands at workers = 1 load no scipy (scipy.linalg, scipy.special
+    # and scipy.interpolate load only inside functions that those two reach),
+    # no numpy.polynomial and no thread pool.  The first command after the
+    # import loads no module at all, so no start-up cost moves into a run.
+    # A run on 2 workers loads the thread pool and writes the same bytes.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    cfg = Path(cli.__file__).parents[2] / "bench" / "workloads" / "poisson-rho.cfg"
-    commands = ["radial-oracle", "estimate-rho", "phi-profile", "q-marginal",
-                "born-check", "contour-check", "fock-check"]
+    poisson = Path(cli.__file__).parents[2] / "bench" / "workloads" / "poisson-rho.cfg"
+    commands = [c for c in cli.HANDLERS if c not in ("full-pipeline", "doob-compare")]
     code = f"""
 import contextlib, sys
-heavy = ("scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.special",
-         "scipy.optimize", "scipy.stats")
-from hyptrap import cli
-print(sorted(m for m in heavy if m in sys.modules))
-cfg = cli.resolve_config(cli.parse_config({str(cfg)!r}))
-_, config, _ = cli.build_scene(cfg)
-print(len(config) > 0, sorted(m for m in heavy if m in sys.modules))
-for command in {commands!r}:
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m.startswith(("numpy.polynomial", "concurrent.futures")))
+def run(*argv):
     with contextlib.redirect_stdout(sys.stderr):
-        rc = cli.main([command, "--config", {write_config(tmp_path)!r},
-                       "--out", {str(tmp_path)!r} + "/" + command])
-    print(command, rc, sorted(m for m in heavy if m in sys.modules))
+        return cli.main(list(argv))
+from hyptrap import cli
+print(loaded())
+before = set(sys.modules)
+rc = run("estimate-rho", "--config", {str(poisson)!r}, "--out", {str(tmp_path / "w1")!r})
+print(rc, sorted(set(sys.modules) - before))
+_, config, _ = cli.build_scene(cli.resolve_config(cli.parse_config({str(poisson)!r})))
+print(len(config) > 0, loaded())
+for command in {commands!r}:
+    rc = run(command, "--config", {write_config(tmp_path)!r},
+             "--out", {str(tmp_path)!r} + "/" + command)
+    print(command, rc, loaded())
+rc = run("estimate-rho", "--config", {str(poisson)!r}, "--workers", "2",
+         "--out", {str(tmp_path / "w2")!r})
+print(rc, "concurrent.futures" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "[]\nTrue []\n" + "".join(f"{c} 0 []\n" for c in commands)
+    assert out == ("[]\n0 []\nTrue []\n" + "".join(f"{c} 0 []\n" for c in commands)
+                   + "0 True\n")
+    files = sorted(f.name for f in (tmp_path / "w1").iterdir() if f.name != "timing.txt")
+    assert files == ["logz.csv", "manifest.json", "rho.csv"]
+    for name in files:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def test_manifest_scipy_version_is_the_installed_one():
+    # read from scipy/version.py without importing scipy
+    import scipy
+
+    assert cli.SCIPY_VERSION == scipy.__version__
 
 
 def test_every_config_key_is_read():

@@ -12,6 +12,7 @@ from conftest import (
     distance_batch,
     polar_distances_reference,
 )
+from hyptrap import ppp
 from hyptrap.diffusion import ambient_from_polar, on_axis, polar_from_ambient
 from hyptrap.ppp import (
     Configuration,
@@ -73,6 +74,14 @@ class TestBallVolume:
                                         limit=200)
                 want = sphere_area(d) * val
                 assert abs(ball_volume(d, R) - want) <= 1e-13 * want, (d, R)
+
+    def test_rule_is_leggauss_on_the_unit_interval(self):
+        # the literal rule is numpy's 16-point Gauss-Legendre rule mapped to
+        # [0, 1], bit for bit: any other rounding moves ball_volume and
+        # radial_quantile, and with them every sampled scene
+        x, w = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(ppp._GL_NODES, 0.5 * (x + 1.0))
+        assert np.array_equal(ppp._GL_WEIGHTS, 0.5 * w)
 
 
 class TestRadialQuantile:

@@ -152,7 +152,7 @@ class TestSolveGroundState:
             return build_radial_operator(
                 2, 30.0, 2000, lambda r: trap_potential(r, v_max=10.0, a=a))
 
-        a0, eps = 0.05, 1e-5
+        a0, eps = 0.05, 1e-4
         s = solve_ground_state(op_for(a0))
         dv = trap_potential(s.grid, v_max=np.inf, a=1.0)
         hf = s.operator.weighted_dot(s.phi, dv * s.phi)
