@@ -24,6 +24,7 @@ from hyptrap.ppp import (
     Configuration,
     FactorPotential,
     PotentialSpec,
+    WindowError,
     ball_volume,
     check_intensity,
     sample_configuration,
@@ -55,7 +56,7 @@ DEFAULTS = {
 
 def _scipy_version():
     """The installed scipy's version, read from scipy/version.py without
-    running scipy's __init__: only full-pipeline and doob-compare import it."""
+    running scipy's __init__: only full-pipeline imports it."""
     init = importlib.util.find_spec("scipy").origin
     text = Path(init).with_name("version.py").read_text(encoding="utf-8")
     return re.search(r"^version = ['\"]([^'\"]+)['\"]", text, re.MULTILINE).group(1)
@@ -186,12 +187,21 @@ def trap_radial_potential(cfg):
 
 
 def write_csv(path, header, rows):
+    # floats as their shortest round-trip repr, a numpy scalar through float
+    # (numpy 2 reprs it as np.float64(...)); Python floats, the common case,
+    # are tested first
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(
-                repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-                for x in row) + "\n")
+            fh.write(",".join([repr(x) if type(x) is float
+                               else repr(float(x)) if isinstance(x, np.floating)
+                               else str(x) for x in row]) + "\n")
+
+
+def write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_manifest(out_dir, command, cfg, results):
@@ -210,9 +220,7 @@ def write_manifest(out_dir, command, cfg, results):
         },
         "results": results,
     }
-    with open(Path(out_dir) / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(out_dir) / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +233,9 @@ def cmd_sample_ppp(cfg, out):
     window = cfg["window_radius"] or 5.0
     mean = mean_count(cfg, window)
     config = sample_configuration(cfg["d"], window, cfg["kappa"], rng)
-    (out / "configuration.json").write_text(config.to_json() + "\n")
+    (out / "configuration.json").write_text(json.dumps(
+        {"d": config.d, "window_radius": config.window_radius,
+         "intensity": config.intensity, "points": config.points.tolist()}) + "\n")
     write_csv(out / "summary.csv", "n_points,window_radius,kappa,mean_count",
               [(len(config), float(window), cfg["kappa"], mean)])
     return {}
@@ -271,6 +281,19 @@ def cmd_estimate_z(cfg, out):
 def _write_rho(out, est):
     write_csv(out / "rho.csv", "rho_hat,rho_stderr,flagged",
               [(est.rho_hat, est.rho_stderr, int(est.diagnostics["flagged"]))])
+    write_csv(out / "logz.csv", "T,neg_log_z",
+              list(zip(est.diagnostics["T_grid"],
+                       [-lz for lz in est.diagnostics["log_z"]])))
+
+
+def _write_q(out, qm):
+    ts = sorted(qm.weights_by_T)
+    write_csv(out / "q_marginal.csv", "r," + ",".join(f"w_T{T:g}" for T in ts),
+              [[float(r)] + [float(qm.weights_by_T[T][i]) for T in ts]
+               for i, r in enumerate(qm.radii)])
+    write_csv(out / "q_stabilization.csv", "T_pair,sup_distance",
+              [(f"{a:g}->{b:g}", dist) for (a, b, dist) in
+               zip(ts[:-1], ts[1:], qm.sup_distances)])
 
 
 def walk_origin(cfg, potential, T, probes=(), snapshot_times=()):
@@ -292,9 +315,6 @@ def cmd_estimate_rho(cfg, out):
     base, _ = walk_origin(cfg, potential, max(cfg["t_grid"]), snapshot_times=cfg["t_grid"])
     est = feynman_kac.estimate_rho(base, cfg["t_grid"])
     _write_rho(out, est)
-    write_csv(out / "logz.csv", "T,neg_log_z",
-              list(zip(est.diagnostics["T_grid"],
-                       [-lz for lz in est.diagnostics["log_z"]])))
     return {"rho_hat": est.rho_hat}
 
 
@@ -313,14 +333,7 @@ def cmd_q_marginal(cfg, out):
     base, _ = walk_origin(cfg, potential, max(cfg["t_grid"]),
                           snapshot_times=[t, *cfg["t_grid"]])
     qm = feynman_kac.q_marginal(base, t, cfg["t_grid"])
-    rows = []
-    for i, r in enumerate(qm.radii):
-        rows.append([float(r)] + [float(qm.weights_by_T[T][i]) for T in sorted(qm.weights_by_T)])
-    ts = sorted(qm.weights_by_T)
-    write_csv(out / "q_marginal.csv", "r," + ",".join(f"w_T{T:g}" for T in ts), rows)
-    write_csv(out / "q_stabilization.csv", "T_pair,sup_distance",
-              [(f"{a:g}->{b:g}", dist) for (a, b, dist) in
-               zip(ts[:-1], ts[1:], qm.sup_distances)])
+    _write_q(out, qm)
     return {"sup_distances": qm.sup_distances}
 
 
@@ -330,14 +343,23 @@ def _oracle(cfg):
     return op, spectral.solve_ground_state(op)
 
 
-def cmd_radial_oracle(cfg, out):
+def _write_oracle(cfg, out):
+    """eigenpair.csv, survival.csv and spectrum.csv; returns the operator, its
+    ground pair and the survival harmonic h on the grid."""
     op, spec_out = _oracle(cfg)
-    spectral.eigenpair_to_csv(spec_out, out / "eigenpair.csv")
-    h_fn = spectral.survival_harmonic(op)
-    write_csv(out / "survival.csv", "r,h",
-              list(zip(op.grid.tolist(), h_fn.tolist())))
+    write_csv(out / "eigenpair.csv",
+              f"# rho={float(spec_out.rho)!r} gap={float(spec_out.gap)!r} "
+              f"R_max={float(op.r_max)!r} M={op.m} d={op.d}\nr,phi",
+              list(zip(spec_out.grid.tolist(), spec_out.phi.tolist())))
+    h_surv = spectral.survival_harmonic(op)
+    write_csv(out / "survival.csv", "r,h", list(zip(op.grid.tolist(), h_surv.tolist())))
     write_csv(out / "spectrum.csv", "rho,gap,r_max,m,d",
               [(spec_out.rho, spec_out.gap, cfg["r_max"], cfg["m_cells"], cfg["d"])])
+    return op, spec_out, h_surv
+
+
+def cmd_radial_oracle(cfg, out):
+    _, spec_out, _ = _write_oracle(cfg, out)
     return {"rho": spec_out.rho, "gap": spec_out.gap}
 
 
@@ -389,9 +411,7 @@ def cmd_fock_check(cfg, out):
     never resolve the functional (stderr 0, lhs off) fails."""
     reports = [fock.isometry_check(name, cfg["d"], v, seed=cfg["seed"])
                for v in cfg["fock_volumes"] for name in fock.FUNCTIONALS]
-    with open(out / "fock.json", "w") as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "fock.json", reports)
     failed = [f"{r['functional']} v={r['v']:g}" for r in reports
               if not abs(r["lhs"] - r["rhs"]) <= FOCK_SIGMA * r["lhs_stderr"] + r["tail_bound"]]
     if failed:
@@ -400,8 +420,12 @@ def cmd_fock_check(cfg, out):
     return {"max_rel_error": max(r["rel_error"] for r in reports)}
 
 
-def _pipeline_core(cfg, out, include_rho):
+def cmd_full_pipeline(cfg, out):
     """Planted-trap end-to-end: oracle -> MC rate -> phi ratios -> Q vs Doob.
+
+    It writes the tables of radial-oracle, estimate-rho and q-marginal with
+    their writers, and phi-profile's with a fourth column, all from one walk,
+    before its gates set the exit code.
 
     The quantitative targets are the transient-case ground-state pair: decay
     rate zero and the survival harmonic h (the positive solution of
@@ -413,31 +437,26 @@ def _pipeline_core(cfg, out, include_rho):
     """
     checks = {}
     # the config first: one that cannot be answered fails before any artifact
-    if include_rho:
-        _check(feynman_kac.check_horizons, cfg["t_grid"])
+    _check(feynman_kac.check_horizons, cfg["t_grid"])
     _check(feynman_kac.check_marginal_time, cfg["marginal_time"], cfg["t_grid"])
     scene_window(cfg)
     if cfg["planted"] != [0.0] or cfg["kappa"] != 0:
         raise ConfigError("the oracle is one trap at o, so this command needs "
                           "planted = 0 and kappa = 0")
     spec, config, potential = build_scene(cfg)
-    op, spec_out = _oracle(cfg)
-    spectral.eigenpair_to_csv(spec_out, out / "eigenpair.csv")
-    h_surv = spectral.survival_harmonic(op)
-    write_csv(out / "survival.csv", "r,h", list(zip(op.grid.tolist(), h_surv.tolist())))
+    op, _, h_surv = _write_oracle(cfg, out)
 
     # one walk from o and the probes serves the rate, the ratios and the
     # Q-marginal
     T = max(cfg["t_grid"])
     base, probes = walk_origin(cfg, potential, T, cfg["probes"],
                                snapshot_times=[*cfg["t_grid"], cfg["marginal_time"]])
-    if include_rho:
-        est = feynman_kac.estimate_rho(base, cfg["t_grid"])
-        _write_rho(out, est)
-        checks["rho_near_zero"] = bool(abs(est.rho_hat) <= RHO_TOLERANCE)
-        checks["rho_in_bound"] = bool(
-            -3.0 * est.rho_stderr - 1e-9 <= est.rho_hat
-            <= potential.v_max + 3.0 * est.rho_stderr)
+    est = feynman_kac.estimate_rho(base, cfg["t_grid"])
+    _write_rho(out, est)
+    checks["rho_near_zero"] = bool(abs(est.rho_hat) <= RHO_TOLERANCE)
+    checks["rho_in_bound"] = bool(
+        -3.0 * est.rho_stderr - 1e-9 <= est.rho_hat
+        <= potential.v_max + 3.0 * est.rho_stderr)
 
     # eigenfunction ratios against the finite-horizon survival Z_T at the
     # walk's own horizon; Z_T(r)/Z_T(0) tends to h(r)/h(0) as T grows
@@ -458,6 +477,7 @@ def _pipeline_core(cfg, out, include_rho):
 
     # Q-process marginal vs Doob transform of the survival harmonic
     qm = feynman_kac.q_marginal(base, cfg["marginal_time"], cfg["t_grid"])
+    _write_q(out, qm)
     doob_r = feynman_kac.doob_final_radii(
         diffusion.on_axis(cfg["d"], [0.0]), op.grid, h_surv, cfg["marginal_time"], cfg["h"],
         cfg["n_paths"], cfg["seed"] + 1, workers=cfg["workers"])
@@ -469,9 +489,7 @@ def _pipeline_core(cfg, out, include_rho):
     checks["q_stabilized"] = bool(
         not qm.sup_distances or qm.sup_distances[-1] < 4.0 / np.sqrt(cfg["n_paths"]))
 
-    with open(out / "checks.json", "w") as fh:
-        json.dump(checks, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "checks.json", checks)
     if not all(checks.values()):
         failed = [k for k, v in checks.items() if not v]
         raise RuntimeError(f"pipeline cross-checks failed: {failed}")
@@ -485,12 +503,11 @@ HANDLERS = {
     "estimate-rho": cmd_estimate_rho,
     "phi-profile": cmd_phi_profile,
     "q-marginal": cmd_q_marginal,
-    "doob-compare": lambda cfg, out: _pipeline_core(cfg, out, include_rho=False),
     "radial-oracle": cmd_radial_oracle,
     "born-check": cmd_born_check,
     "contour-check": cmd_contour_check,
     "fock-check": cmd_fock_check,
-    "full-pipeline": lambda cfg, out: _pipeline_core(cfg, out, include_rho=True),
+    "full-pipeline": cmd_full_pipeline,
 }
 
 
@@ -522,7 +539,8 @@ def main(argv=None):
     t0 = time.monotonic()
     try:
         results = HANDLERS[args.command](cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, WindowError) as exc:
+        # a window too small for the walk is a config the scene cannot answer
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -3,9 +3,9 @@
 A configuration is a finite realization of the PPP in a geodesic ball about
 the origin, held in polar form like every point of the package
 (`diffusion`): each trap's radius and unit direction at o.  Its hyperboloid
-rows (`Configuration.points`) are computed only where an output needs them,
-as `configuration.json` does.  The potential at x is
-min(V_max, sum_y eta(d(x, y))) for a compactly supported seed profile eta.
+rows (`Configuration.points`) are computed only where an output needs them.
+The potential at x is min(V_max, sum_y eta(d(x, y))) for a compactly
+supported seed profile eta.
 The window policy makes the finite window an exact restriction of the
 infinite process: a caller declaring a path-excursion budget R_path must use
 window_radius >= R_path + r_0.
@@ -28,7 +28,6 @@ finishes it.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -157,16 +156,6 @@ class Configuration:
 
     def __len__(self):
         return len(self.radii)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "d": self.d,
-                "window_radius": self.window_radius,
-                "intensity": self.intensity,
-                "points": self.points.tolist(),
-            }
-        )
 
 
 @dataclass(frozen=True)

@@ -326,7 +326,7 @@ def finite_horizon_survival(op: RadialOperator, T):
     eigensolve uses LAPACK's MRRR driver (stemr): the default divide and
     conquer merges with threaded BLAS, so its bits depend on the thread count.
     """
-    # a local import: only full-pipeline and doob-compare need scipy.linalg
+    # a local import: only full-pipeline needs scipy.linalg
     from scipy.linalg import eigh_tridiagonal
 
     h = survival_harmonic(op)
@@ -342,7 +342,7 @@ def log_derivative_interpolant(grid, phi):
     The returned callable raises on queries beyond the grid (no silent
     extrapolation); queries below the first cell center clamp to it.
     """
-    # a local import: only full-pipeline and doob-compare need scipy.interpolate
+    # a local import: only full-pipeline needs scipy.interpolate
     from scipy.interpolate import PchipInterpolator
 
     if np.any(np.asarray(phi) <= 0):
@@ -362,12 +362,3 @@ def log_derivative_interpolant(grid, phi):
 
     return dlogphi
 
-
-def eigenpair_to_csv(spec: RadialSpectrum, path):
-    op = spec.operator
-    with open(path, "w") as fh:
-        fh.write(f"# rho={float(spec.rho)!r} gap={float(spec.gap)!r} "
-                 f"R_max={float(op.r_max)!r} M={op.m} d={op.d}\n")
-        fh.write("r,phi\n")
-        for r, p in zip(spec.grid, spec.phi):
-            fh.write(f"{float(r)!r},{float(p)!r}\n")

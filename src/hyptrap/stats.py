@@ -43,7 +43,7 @@ def weighted_ks_2samp(x1, w1, x2, w2):
     The statistic is the sup distance between the weighted empirical CDFs;
     the p-value uses the Kolmogorov asymptotic with effective sample sizes.
     """
-    # a local import: only full-pipeline and doob-compare need scipy.special
+    # a local import: only full-pipeline needs scipy.special
     from scipy import special
 
     grid = np.concatenate([x1, x2])

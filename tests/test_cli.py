@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import minkowski_dot
-from hyptrap import cli, feynman_kac
+from hyptrap import cli, feynman_kac, spectral
 from hyptrap.cli import ConfigError, main, parse_config, resolve_config
+from hyptrap.diffusion import polar_from_ambient
+from hyptrap.ppp import Configuration, sample_configuration
 
 FAST = """
 # quick smoke settings
@@ -97,7 +99,7 @@ class TestParseConfig:
             assert "distinct horizons" in capsys.readouterr().err
             assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("cmd", ["q-marginal", "full-pipeline", "doob-compare"])
+    @pytest.mark.parametrize("cmd", ["q-marginal", "full-pipeline"])
     def test_marginal_time_must_precede_horizons(self, tmp_path, capsys, cmd):
         # the Q-marginal at t = 1 cannot be read before the horizon 0.5
         path = write_config(tmp_path, FAST + "t_grid = 0.5,1,1.5\nmarginal_time = 1\n")
@@ -117,6 +119,15 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
         assert "usage" in capsys.readouterr().err
+
+    def test_doob_compare_is_not_a_command(self, capsys):
+        # full-pipeline is the one planted-trap report; its Q-vs-Doob table
+        # has no command of its own
+        assert len(cli.HANDLERS) == 11
+        with pytest.raises(SystemExit) as exc:
+            main(["doob-compare"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
         path = write_config(tmp_path, "bogus = 1\n")
@@ -143,6 +154,33 @@ class TestCommands:
         assert manifest["regime"] == "theorem-1"
         assert "workers" not in manifest["parameters"]
 
+    def test_sample_ppp_json_roundtrip(self, tmp_path):
+        # the JSON holds the hyperboloid rows exactly; back in polar form they
+        # give the traps to rounding
+        path = write_config(tmp_path, "kappa = 1\nwindow_radius = 3\nseed = 6\n")
+        out = tmp_path / "out"
+        assert main(["sample-ppp", "--config", path, "--out", str(out)]) == 0
+        config = sample_configuration(2, 3.0, 1.0, np.random.default_rng(6))
+        obj = json.loads((out / "configuration.json").read_text())
+        points = np.asarray(obj["points"])
+        assert len(points) > 0
+        assert np.array_equal(points, config.points)
+        back = Configuration(*polar_from_ambient(points), obj["window_radius"],
+                             obj["intensity"])
+        assert back.d == config.d == obj["d"]
+        assert back.window_radius == config.window_radius
+        assert back.intensity == config.intensity
+        assert np.allclose(back.radii, config.radii, rtol=0, atol=1e-12)
+        assert np.allclose(back.directions, config.directions, rtol=0, atol=1e-12)
+
+    def test_sample_ppp_json_schema_keys(self, tmp_path):
+        path = write_config(tmp_path, "kappa = 0\nwindow_radius = 2\n")
+        out = tmp_path / "out"
+        assert main(["sample-ppp", "--config", path, "--out", str(out)]) == 0
+        obj = json.loads((out / "configuration.json").read_text())
+        assert set(obj) == {"d", "window_radius", "intensity", "points"}
+        assert obj["d"] == 2 and obj["points"] == []
+
     def test_simulate_bm_radial_csv(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -168,6 +206,22 @@ class TestCommands:
         assert np.all(phi > 0)
         assert (out / "survival.csv").exists()
 
+    def test_radial_oracle_eigenpair_roundtrip(self, tmp_path):
+        path = write_config(tmp_path, "m_cells = 500\n")
+        out = tmp_path / "out"
+        assert main(["radial-oracle", "--config", path, "--out", str(out)]) == 0
+        cfg = resolve_config(parse_config(path))
+        s = spectral.solve_ground_state(spectral.build_radial_operator(
+            2, 30.0, 500, cli.trap_radial_potential(cfg)))
+        header, columns, *rows = (out / "eigenpair.csv").read_text().splitlines()
+        meta = dict(kv.split("=") for kv in header.lstrip("# ").split())
+        assert meta == {"rho": repr(s.rho), "gap": repr(s.gap), "R_max": "30.0",
+                        "M": "500", "d": "2"}
+        assert columns == "r,phi"
+        grid, phi = np.loadtxt(rows, delimiter=",").T
+        assert np.array_equal(grid, s.grid)
+        assert np.array_equal(phi, s.phi)
+
     def test_estimate_rho_runs(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -184,7 +238,7 @@ class TestCommands:
         assert rho.splitlines()[0] == "rho_hat,rho_stderr,flagged"
         assert rho == (tmp_path / "estimate-rho" / "rho.csv").read_text()
 
-    @pytest.mark.parametrize("cmd", ["full-pipeline", "doob-compare"])
+    @pytest.mark.parametrize("cmd", ["full-pipeline"])
     def test_pipeline_walks_two_ensembles(self, tmp_path, monkeypatch, cmd):
         # one fused walk from o and the probes serves the rate, the ratios and
         # the Q-marginal; the Doob walk is the other
@@ -212,6 +266,26 @@ class TestCommands:
         # each row is labelled with its configured probe radius, not a distance
         # recomputed from the probe's coordinates
         assert [float(row[0]) for row in rows["phi-profile"][1:]] == cli.DEFAULTS["probes"]
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_full_pipeline_tables_are_the_single_commands(self, tmp_path, workers):
+        # FAST has T = max(t_grid): full-pipeline's one walk writes each single
+        # command's tables byte for byte, and phi-profile's in its first three
+        # columns
+        path = write_config(tmp_path)
+        tables = {"radial-oracle": ["eigenpair.csv", "survival.csv", "spectrum.csv"],
+                  "estimate-rho": ["rho.csv", "logz.csv"],
+                  "q-marginal": ["q_marginal.csv", "q_stabilization.csv"]}
+        for cmd in [*tables, "phi-profile", "full-pipeline"]:
+            main([cmd, "--config", path, "--workers", workers,
+                  "--out", str(tmp_path / cmd)])
+        report = tmp_path / "full-pipeline"
+        for cmd, names in tables.items():
+            for name in names:
+                assert (report / name).read_bytes() == (tmp_path / cmd / name).read_bytes(), name
+        phi = [line.split(",")[:3] for line in (report / "phi_ratio.csv").read_text().splitlines()]
+        assert phi == [line.split(",") for line in
+                       (tmp_path / "phi-profile" / "phi_ratio.csv").read_text().splitlines()]
 
     def test_born_and_contour_checks(self, tmp_path):
         path = write_config(tmp_path)
@@ -270,20 +344,18 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "sample_configuration", no_sampling)
         path = write_config(tmp_path, FAST + "kappa = 0.05\nwindow_radius = 16\n")
-        for cmd in ("full-pipeline", "doob-compare"):
-            out = tmp_path / cmd
-            assert main([cmd, "--config", path, "--out", str(out)]) == 2
-            assert "one trap at o" in capsys.readouterr().err
-            assert not list(out.iterdir())
+        out = tmp_path / "out"
+        assert main(["full-pipeline", "--config", path, "--out", str(out)]) == 2
+        assert "one trap at o" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_poisson_scene_too_large_fails_before_artifacts(self, tmp_path, capsys):
         # kappa > 0 with the automatic window asks for ~1e19 traps
         path = write_config(tmp_path, FAST + "kappa = 0.05\n")
-        for cmd in ("full-pipeline", "doob-compare"):
-            out = tmp_path / cmd
-            assert main([cmd, "--config", path, "--out", str(out)]) == 2
-            assert "mean count" in capsys.readouterr().err
-            assert not list(out.glob("*.csv"))
+        out = tmp_path / "out"
+        assert main(["full-pipeline", "--config", path, "--out", str(out)]) == 2
+        assert "mean count" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("scene", ["planted = 0.5", "planted = 0,2",
                                        "kappa = 0.05\nwindow_radius = 9"],
@@ -292,11 +364,10 @@ class TestCommands:
                                                                  scene):
         # the oracle is trap_radial_potential: one trap at o and nothing else
         path = write_config(tmp_path, FAST + scene + "\n")
-        for cmd in ("full-pipeline", "doob-compare"):
-            out = tmp_path / cmd
-            assert main([cmd, "--config", path, "--out", str(out)]) == 2
-            assert "one trap at o" in capsys.readouterr().err
-            assert not list(out.glob("*.csv"))
+        out = tmp_path / "out"
+        assert main(["full-pipeline", "--config", path, "--out", str(out)]) == 2
+        assert "one trap at o" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("window", [60, 800])
     def test_sample_ppp_refuses_scene_too_large(self, tmp_path, capsys, window):
@@ -326,8 +397,19 @@ class TestCommands:
         # a window too small for the declared horizons must fail loudly
         path = write_config(tmp_path, FAST + "window_radius = 1.5\n")
         out = tmp_path / "out"
-        assert main(["estimate-z", "--config", path, "--out", str(out)]) == 1
+        assert main(["estimate-z", "--config", path, "--out", str(out)]) == 2
         assert "window too small" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("seed", ["0", "2", "7"])
+    def test_window_too_small_is_a_config_error(self, tmp_path, capsys, seed):
+        # with r0 = 1 the walk's first step from o leaves a window of 1.05:
+        # the scene cannot answer the config, so it exits 2 and writes nothing
+        path = write_config(tmp_path, "kappa = 0.05\nplanted =\nwindow_radius = 1.05\n")
+        out = tmp_path / "out"
+        assert main(["estimate-rho", "--config", path, "--seed", seed, "--out", str(out)]) == 2
+        assert "window too small" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
 
 class TestDeterminism:
@@ -436,16 +518,16 @@ def test_console_script_is_main():
 
 
 def test_numpy_only_commands_load_no_scipy_polynomial_or_thread_pool(tmp_path):
-    # every command but full-pipeline and doob-compare runs on numpy alone:
-    # importing the CLI, building a sampled Poisson scene and running the
-    # other commands at workers = 1 load no scipy (scipy.linalg, scipy.special
-    # and scipy.interpolate load only inside functions that those two reach),
+    # every command but full-pipeline runs on numpy alone: importing the CLI,
+    # building a sampled Poisson scene and running the other commands at
+    # workers = 1 load no scipy (scipy.linalg, scipy.special and
+    # scipy.interpolate load only inside functions that full-pipeline reaches),
     # no numpy.polynomial and no thread pool.  The first command after the
     # import loads no module at all, so no start-up cost moves into a run.
     # A run on 2 workers loads the thread pool and writes the same bytes.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     poisson = Path(cli.__file__).parents[2] / "bench" / "workloads" / "poisson-rho.cfg"
-    commands = [c for c in cli.HANDLERS if c not in ("full-pipeline", "doob-compare")]
+    commands = [c for c in cli.HANDLERS if c != "full-pipeline"]
     code = f"""
 import contextlib, sys
 def loaded():

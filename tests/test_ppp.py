@@ -1,6 +1,5 @@
 """Poisson point process sampling and factor potentials."""
 
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,7 @@ from conftest import (
     polar_distances_reference,
 )
 from hyptrap import ppp
-from hyptrap.diffusion import ambient_from_polar, on_axis, polar_from_ambient
+from hyptrap.diffusion import ambient_from_polar, on_axis
 from hyptrap.ppp import (
     Configuration,
     FactorPotential,
@@ -177,28 +176,6 @@ class TestSampleConfiguration:
 
 
 class TestConfiguration:
-    def test_json_roundtrip(self):
-        # the JSON holds the hyperboloid rows exactly; back in polar form they
-        # give the traps to rounding
-        rng = np.random.default_rng(6)
-        config = sample_configuration(2, 3.0, 1.0, rng)
-        obj = json.loads(config.to_json())
-        points = np.asarray(obj["points"])
-        assert np.array_equal(points, config.points)
-        back = Configuration(*polar_from_ambient(points), obj["window_radius"],
-                             obj["intensity"])
-        assert back.d == config.d == obj["d"]
-        assert back.window_radius == config.window_radius
-        assert back.intensity == config.intensity
-        assert np.allclose(back.radii, config.radii, rtol=0, atol=1e-12)
-        assert np.allclose(back.directions, config.directions, rtol=0, atol=1e-12)
-
-    def test_json_schema_keys(self):
-        config = Configuration(np.empty(0), np.empty((0, 2)), 2.0, 1.0)
-        obj = json.loads(config.to_json())
-        assert set(obj) == {"d", "window_radius", "intensity", "points"}
-        assert obj["d"] == 2 and obj["points"] == []
-
     def test_points_are_the_ambient_form(self):
         config = sample_configuration(3, 3.0, 1.0, np.random.default_rng(16))
         assert config.points.shape == (len(config), 4)

@@ -17,7 +17,6 @@ from hyptrap.spectral import (
     build_radial_operator,
     contour_projector,
     direct_resolvent_solve,
-    eigenpair_to_csv,
     log_derivative_interpolant,
     solve_ground_state,
     survival_harmonic,
@@ -339,18 +338,3 @@ class TestLogDerivativeInterpolant:
         with pytest.raises(ValueError):
             log_derivative_interpolant(grid, np.zeros(50))
 
-
-class TestEigenpairCsv:
-    def test_roundtrip(self, tmp_path):
-        op = build_radial_operator(2, 30.0, 500, trap_potential)
-        s = solve_ground_state(op)
-        path = tmp_path / "eigenpair.csv"
-        eigenpair_to_csv(s, path)
-        header, columns, *rows = path.read_text().splitlines()
-        meta = dict(kv.split("=") for kv in header.lstrip("# ").split())
-        assert meta == {"rho": repr(s.rho), "gap": repr(s.gap), "R_max": "30.0",
-                        "M": "500", "d": "2"}
-        assert columns == "r,phi"
-        grid, phi = np.loadtxt(rows, delimiter=",").T
-        assert np.array_equal(grid, s.grid)
-        assert np.array_equal(phi, s.phi)
