@@ -9,9 +9,7 @@ breaks determinism).
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
-import re
 import sys
 import time
 from pathlib import Path
@@ -52,18 +50,6 @@ DEFAULTS = {
     "workers": 1,
     "dump_paths": 0,
 }
-
-
-def _scipy_version():
-    """The installed scipy's version, read from scipy/version.py without
-    running scipy's __init__: only full-pipeline imports it."""
-    init = importlib.util.find_spec("scipy").origin
-    text = Path(init).with_name("version.py").read_text(encoding="utf-8")
-    return re.search(r"^version = ['\"]([^'\"]+)['\"]", text, re.MULTILINE).group(1)
-
-
-#: written to every manifest.json; read once, at import
-SCIPY_VERSION = _scipy_version()
 
 
 class ConfigError(ValueError):
@@ -216,7 +202,6 @@ def write_manifest(out_dir, command, cfg, results):
         "versions": {
             "hyptrap": hyptrap.__version__,
             "numpy": np.__version__,
-            "scipy": SCIPY_VERSION,
         },
         "results": results,
     }
@@ -459,16 +444,14 @@ def cmd_full_pipeline(cfg, out):
         <= potential.v_max + 3.0 * est.rho_stderr)
 
     # eigenfunction ratios against the finite-horizon survival Z_T at the
-    # walk's own horizon; Z_T(r)/Z_T(0) tends to h(r)/h(0) as T grows
+    # walk's own horizon, linear between cell centers with Z_T(0) the first
+    # cell's; Z_T(r)/Z_T(0) tends to h(r)/h(0) as T grows
     table = feynman_kac.estimate_phi_ratio(base, probes)
-    from scipy.interpolate import PchipInterpolator
-
-    z_interp = PchipInterpolator(op.grid, spectral.finite_horizon_survival(op, T))
-    z0 = float(z_interp(1e-9))
+    z_T = spectral.finite_horizon_survival(op, T)
     rows = []
     ok = True
     for r, ratio, se in table:
-        target = float(z_interp(r)) / z0
+        target = float(np.interp(r, op.grid, z_T) / z_T[0])
         rows.append((r, ratio, se, target))
         if abs(ratio - target) > RATIO_SIGMA * max(se, 1e-6):
             ok = False

@@ -297,6 +297,31 @@ class TestSurvivalHarmonic:
         res = op.apply(h)
         assert np.max(np.abs(res[:-1])) < 1e-8
 
+    @pytest.mark.parametrize("d,r_max,m,T", [(5, 30.0, 3000, 1.25), (2, 100.0, 10_000, 4.0)])
+    def test_finite_horizon_semigroup(self, d, r_max, m, T):
+        # Z_T - h = e^{-TH}(1 - h) = e^{-(T/2)H} e^{-(T/2)H}(1 - h); a full
+        # eigensolve in the similarity form breaks it by about 2e-6 and 3e-7 here
+        op = build_radial_operator(d, r_max, m, trap_potential)
+        h = survival_harmonic(op)
+        half = spectral.apply_semigroup(op, T / 2, 1.0 - h)
+        twice = spectral.apply_semigroup(op, T / 2, half)
+        assert np.max(np.abs(spectral.finite_horizon_survival(op, T) - h - twice)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_finite_horizon_matches_full_eigensolve(self, d):
+        # scipy.linalg as the reference: e^{-TH} from every eigenpair of the
+        # symmetric form, s^{-1} U e^{-T Lambda} U^t s with s = sqrt(weights)
+        from scipy.linalg import eigh_tridiagonal
+
+        op = build_radial_operator(d, 30.0, 3000, trap_potential)
+        h = survival_harmonic(op)
+        vals, vecs = eigh_tridiagonal(op.diag, op.offdiag)
+        s = np.sqrt(op.weights)
+        coeffs = vecs.T @ (s * (1.0 - h))
+        for T in (1.25, 5.0, 20.0):
+            want = h + (vecs @ (np.exp(-T * vals) * coeffs)) / s
+            assert np.max(np.abs(spectral.finite_horizon_survival(op, T) - want)) <= 1e-12
+
     def test_finite_horizon_independent_of_blas_threads(self):
         # full-pipeline's oracle at the CLI defaults, in fresh interpreters with
         # 1 and 2 BLAS threads: its bytes must not depend on the thread count
