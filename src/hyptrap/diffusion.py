@@ -15,10 +15,12 @@ the walks reach.  The ambient form is only an output format
 
 Inside a walk the directions are column-major, (d, N) with one contiguous
 row per component, so each operation of a step runs over the N paths rather
-than over d entries at a time, and the Gaussian draws come several steps per
-generator call.  Neither changes a bit: the arithmetic is the same per path,
-and a generator emits the same numbers in the same order.  Everything
-outside a walk sees (N, d) directions.
+than over d entries at a time, the Gaussian draws come several steps per
+generator call, and the potential is evaluated on several steps' states per
+call.  None of this changes a bit: the arithmetic is the same per path, a
+generator emits the same numbers in the same order, and the potential is a
+function of each state alone.  Everything outside a walk sees (N, d)
+directions.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_STEP = 0.1
-#: Gaussian draws, in doubles, that a walk holds at once (`ensemble_walk`)
+#: doubles that a walk holds at once of Gaussian draws and of held directions
+#: (`ensemble_walk`), and query-trap pairs of one potential table
+#: (`ppp.FactorPotential`)
 DRAW_BUFFER = 1 << 14
 
 
@@ -170,19 +174,25 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
     path dump advance through it.  `rng` is one generator or a sequence of
     (generator, rows) pairs, the independent streams of each block, which
     draw their own rows of the block's Gaussian draw in order; every step
-    makes one `step_polar` and one `evaluate_polar` call for all of them.
-    The N paths may stack `blocks` equal blocks of n paths, each from its own
-    starts, that share every Gaussian draw.
+    makes one `step_polar` call for all of them.  The N paths may stack
+    `blocks` equal blocks of n paths, each from its own starts, that share
+    every Gaussian draw.
 
-    The walk holds the directions column-major, (d, N), for `step_polar`,
-    and hands `evaluate_polar` their (N, d) transpose as a view.  Each
-    stream draws several steps per generator call, as many as keep the
+    The walk holds the directions column-major, (d, N), for `step_polar`.
+    Each stream draws several steps per generator call, as many as keep the
     walk's draws within DRAW_BUFFER doubles (one step at a time for a wide
     ensemble), and never past the last step, so a generator is left where
-    per-step draws would leave it.  The step and the potential are functions
-    of each path alone, so every (stream, block) segment is bitwise the walk
-    that stream would take alone from that block's starts.  `u` and the
-    snapshots are (N, d) C-order copies.
+    per-step draws would leave it.  The states of up to
+    depth = DRAW_BUFFER // (N d) steps are held in buffers allocated once,
+    (depth, N) radii and (d, depth, N) directions, and `evaluate_polar` is
+    called once per filled buffer (and once for a last, partial one) on all
+    of them, as (depth N, d) directions; the trapezoid sums and snapshots
+    then run step by step over its rows.  The step and the potential are
+    functions of each path alone, so every (stream, block) segment is
+    bitwise the walk that stream would take alone from that block's starts,
+    whatever the depth.  A WindowError surfaces at the buffer holding the
+    step that leaves the window.  `u` and the snapshots are (N, d) C-order
+    copies.
     """
     _check_step(h)
     r = np.array(r0, dtype=float)
@@ -193,6 +203,8 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
     if sum(rows for _, rows in draws) * blocks != N:
         raise ValueError("the streams' rows must add up to one block of paths")
     chunk = max(1, DRAW_BUFFER // (n * d))
+    depth = max(1, DRAW_BUFFER // (N * d))
+    r_held, U_held = np.empty((depth, N)), np.empty((d, depth, N))
     integrals = np.zeros(N)
     snapshots = {}
     if potential is not None:
@@ -204,10 +216,20 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
         if j == 0:
             xi = _column_draws(draws, min(chunk, n_steps + 1 - k), d, h)
         r, U = step_polar(r, U, h, xi[j], drift_fn=drift_fn)
+        i = (k - 1) % depth
+        r_held[i], U_held[:, i] = r, U
+        if i + 1 < depth and k < n_steps:
+            continue
+        # one potential call for the held steps k - i .. k, then their
+        # trapezoid sums and snapshots in order
         if potential is not None:
-            v_cur = potential.evaluate_polar(r, U.T)
-            integrals += 0.5 * h * (v_prev + v_cur)
-            v_prev = v_cur
-        if k in snapshot_steps:
-            snapshots[k] = (r.copy(), U.T.copy(), integrals.copy())
+            v = potential.evaluate_polar(r_held[:i + 1].reshape(-1),
+                                         U_held[:, :i + 1].reshape(d, -1).T).reshape(i + 1, N)
+        for row, step in enumerate(range(k - i, k + 1)):
+            if potential is not None:
+                integrals += 0.5 * h * (v_prev + v[row])
+                v_prev = v[row]
+            if step in snapshot_steps:
+                snapshots[step] = (r_held[row].copy(), U_held[:, row].T.copy(),
+                                   integrals.copy())
     return WalkResult(r, U.T.copy(), integrals, snapshots)

@@ -107,7 +107,11 @@ def simulate_tilted_ensemble(starts, potential: PotentialField, T, h, N, seed,
     every Gaussian draw on the one pointwise `potential`, and each start's
     PathEnsemble is bitwise the one that start alone would give.  The walk is
     block-major: each block holds the rows of every stream in stream order,
-    so a start's ensemble is one contiguous slice of it.
+    so a start's ensemble is one contiguous slice of it.  `potential` is
+    called once per chunk of held steps (`diffusion.ensemble_walk`) on every
+    stream, block and step of the chunk together, so a fused walk of many
+    starts holds fewer steps per call than a lone start's walk, with the
+    same bits.
     """
     n_steps = int(round(T / h))
     if not diffusion.on_step_grid(T, h):

@@ -16,7 +16,11 @@ traps with r_y >= r + r_0; FactorPotential sorts its traps by radius once
 and each query sums a prefix of them whose length depends on that query
 alone.  V is therefore a pointwise function: a query's value is bitwise the
 same in any batch, which is what lets a walk evaluate many independent
-streams and starts in one call.
+streams, starts and steps in one call.  A batch's tables are built in row
+blocks of at most `diffusion.DRAW_BUFFER` query-trap pairs, so their size
+does not grow with the batch, and a query beyond the reach of every trap of
+its prefix (r >= r_y + r_0 plus a rounding margin) is not evaluated: each of
+its terms is an exact zero.
 
 Volumes and the radial law rest on one integral, I_n(r) = int_0^r sinh^n,
 evaluated to rounding with numpy alone (Gauss-Legendre on unit panels).  The
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hyptrap.diffusion import ambient_from_polar
+from hyptrap import diffusion
 
 #: caps V_max below (d-1)^2/8 are inside the regime of the existence theorem
 def theorem_regime_bound(d):
@@ -152,7 +156,7 @@ class Configuration:
     @property
     def points(self):
         """The traps' hyperboloid coordinates (n, d+1)."""
-        return ambient_from_polar(self.radii, self.directions)
+        return diffusion.ambient_from_polar(self.radii, self.directions)
 
     def __len__(self):
         return len(self.radii)
@@ -180,8 +184,14 @@ class PotentialSpec:
     def profile(self, r):
         """Seed eta(r): continuous, non-increasing, zero for r >= r_0."""
         r = np.asarray(r, dtype=float)
-        q = 1.0 - (r / self.support_radius) ** 2
-        return self.amplitude * np.where(r < self.support_radius, q * q, 0.0)
+        # a (1 - (r / r_0)^2)^2 below r_0, in place in one new array
+        q = np.asarray(r / self.support_radius)
+        q *= q
+        np.subtract(1.0, q, out=q)
+        q *= q
+        q[~(r < self.support_radius)] = 0.0
+        q *= self.amplitude
+        return q
 
 
 #: knots of the sampler's start table per unit of radius: from starts this
@@ -250,15 +260,20 @@ def polar_distances(r, u, ry, uy):
     u = np.asarray(u)[..., :, None, :]
     uy = np.asarray(uy)[..., None, :, :]
     # fold the d columns left to right: bitwise numpy's sum over the last
-    # axis below 8 columns, without building the (..., n, k, d) difference
-    sq_chord = (u[..., 0] - uy[..., 0]) ** 2
+    # axis below 8 columns, without building the (..., n, k, d) difference;
+    # the rest of the formula runs in place in one scratch table, each step
+    # the same rounding of the same operands as the formula written out
+    coshd = np.square(u[..., 0] - uy[..., 0])
+    scratch = np.empty_like(coshd)
     for j in range(1, u.shape[-1]):
-        sq_chord += (u[..., j] - uy[..., j]) ** 2
-    half_chord = 0.5 * sq_chord
+        coshd += np.square(np.subtract(u[..., j], uy[..., j], out=scratch), out=scratch)
+    coshd *= 0.5
     r = np.asarray(r)[..., :, None]
     ry = np.asarray(ry)[..., None, :]
-    coshd = np.cosh(r - ry) + np.sinh(r) * np.sinh(ry) * half_chord
-    return np.arccosh(np.maximum(1.0, coshd))
+    coshd *= np.multiply(np.sinh(r), np.sinh(ry), out=scratch)
+    coshd += np.cosh(np.subtract(r, ry, out=scratch), out=scratch)
+    np.maximum(coshd, 1.0, out=coshd)
+    return np.arccosh(coshd, out=coshd)
 
 
 class PotentialField:
@@ -283,7 +298,10 @@ class FactorPotential(PotentialField):
     The query sums the first k(c) = min(2^bit_length(c), n_traps) traps, a
     prefix length that depends on the query alone, so every bit of its row
     sum does too; the traps between c and k(c) add exact zeros.  Queries of
-    one bit length share a distance table, summed along each contiguous row.
+    one bit length share a distance table, built in row blocks of at most
+    DRAW_BUFFER pairs and summed along each contiguous row.  A query at
+    r >= r_y(k) + `_reach`, past the farthest trap of its prefix, has only
+    zero terms and keeps its sum of 0 without a table.
     """
 
     def __init__(self, spec: PotentialSpec, config: Configuration):
@@ -293,6 +311,21 @@ class FactorPotential(PotentialField):
         order = np.argsort(config.radii, kind="stable")
         self._ry = config.radii[order]
         self._uy = config.directions[order]
+        self._edges = self._ry[(1 << np.arange(len(self._ry).bit_length())) - 1]
+        # The skip's margin m.  A query at r and a trap at r_y <= r - _reach
+        # are delta >= r - r_y >= _reach apart.  The computed distance is
+        # arccosh(cosh(fl(r - r_y)) + t) with t >= 0, so it falls short of
+        # delta only by the rounding of fl(r - r_y) (at most u delta,
+        # u = 2^-53) and of cosh and arccosh (a few ulps each; arccosh turns
+        # a relative error e of its argument into e coth(delta) <=
+        # e (1 + 1/r_0) of distance): by less than 10 u (delta + 1 + 1/r_0)
+        # in all.  At delta = r_0 + m that is below m once
+        # m >= 2e-15 (r_0 + 1/r_0); the m taken here is 5e5 times that, which
+        # also covers the rounding of r_y + _reach at any radius below 1e5.
+        # So the computed distance is >= r_0, every profile term is +0, and
+        # the query's sum stays at its start, +0.
+        r0 = spec.support_radius
+        self._reach = r0 + 1e-9 * (r0 + 1.0 / r0)
 
     def check_window(self, max_radius):
         """Enforce the window policy for queries up to geodesic radius max_radius."""
@@ -312,9 +345,14 @@ class FactorPotential(PotentialField):
             return sums
 
         def cut_bits(x):
-            """Bit length of the cut at each radius: frexp's exponent, 0 for 0."""
-            return np.frexp(np.searchsorted(self._ry, x + self.spec.support_radius))[1]
+            """Bit length of the cut at each radius: the cut is >= 2^j exactly
+            when trap 2^j - 1 (from 0) lies below x + r_0."""
+            return np.searchsorted(self._edges, x + self.spec.support_radius)
 
+        # the directions as (d, n) rows, which gather by index several times
+        # faster than the rows of an (n, d) array that is column-major (the
+        # walk's), a view of them for the walk and one copy for others
+        cols = np.ascontiguousarray(u.T)
         lo, hi = cut_bits(np.array([r.min(), r_max]))
         if lo == hi:  # cuts grow with r, so every query has this bit length
             groups = [(lo, slice(None))]
@@ -326,18 +364,31 @@ class FactorPotential(PotentialField):
             if not b:
                 continue  # a cut of 0 keeps no trap: those sums stay 0
             k = min(1 << b, len(self._ry))
-            # numpy gathers rows of a 2-D array by integer index with take
-            # about ten times faster than by u[rows]
-            u_rows = u[rows] if isinstance(rows, slice) else u.take(rows, axis=0)
-            # sum along each row: summed over the trap axis of a (k, n) table
-            # instead, a lone query's (k, 1) column is contiguous and numpy
-            # sums it pairwise, so its bits would differ from a batch's
-            sums[rows] = self.spec.profile(polar_distances(
-                r[rows], u_rows, self._ry[:k], self._uy[:k])).sum(axis=1)
+            reach = self._ry[k - 1] + self._reach
+            if r_max >= reach:  # drop the queries out of reach of the whole prefix
+                near = r[rows] < reach
+                rows = np.flatnonzero(near) if isinstance(rows, slice) else rows[near]
+                # repeated to a power of two, the kept rows give tables of few
+                # sizes, whose memory the allocator reuses from call to call
+                # instead of fragmenting its heap; each repeat is a query of
+                # this group, written again with its own value
+                if len(rows):
+                    rows = np.resize(rows, 1 << (len(rows) - 1).bit_length())
+            n_rows = len(r) if isinstance(rows, slice) else len(rows)
+            block = max(1, diffusion.DRAW_BUFFER // k)
+            for a in range(0, n_rows, block):
+                part = slice(a, a + block) if isinstance(rows, slice) else rows[a:a + block]
+                cols_part = cols[:, part] if isinstance(part, slice) else cols.take(part, axis=1)
+                # sum along each row: summed over the trap axis of a (k, n)
+                # table instead, a lone query's (k, 1) column is contiguous and
+                # numpy sums it pairwise, so its bits would differ from a batch's
+                sums[part] = self.spec.profile(polar_distances(
+                    r[part], cols_part.T, self._ry[:k], self._uy[:k])).sum(axis=1)
         return sums
 
     def evaluate_polar(self, r, u):
         r = np.asarray(r, dtype=float)
         r_max = float(np.max(r, initial=0.0))
         self.check_window(r_max)
-        return np.minimum(self.spec.v_max, self._near_sum(r, u, r_max))
+        sums = self._near_sum(r, u, r_max)
+        return np.minimum(sums, self.spec.v_max, out=sums)

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from conftest import minkowski_dot, radial_drift, radial_oracle_final, step_polar_reference
+from hyptrap import diffusion
 from hyptrap.diffusion import (
     DRAW_BUFFER,
     ambient_from_polar,
@@ -14,7 +15,7 @@ from hyptrap.diffusion import (
     step_polar,
 )
 from hyptrap.cli import main
-from hyptrap.ppp import FactorPotential, PotentialSpec, sample_configuration
+from hyptrap.ppp import Configuration, FactorPotential, PotentialSpec, sample_configuration
 
 
 def origin_state(n, d):
@@ -302,6 +303,54 @@ class TestEnsembleWalk:
             r, u = step_polar_reference(r, u, h, rng, drift_fn=drift)
         assert np.array_equal(res.r, r) and np.array_equal(res.u, u)
         assert np.array_equal(res.integrals, np.zeros(50))
+
+    def test_held_steps_per_potential_call_are_bitwise(self, monkeypatch):
+        # one potential call per step (DRAW_BUFFER 1), per 136 steps (the
+        # default) and per 4 steps, none of which divides the 150 steps, give
+        # the same walk, integrals and snapshots bit for bit: at step 0, at
+        # chunk edges (4, 136) and inside chunks (50); three streams, two
+        # blocks, a sampled scene and a trap planted at o
+        d, n_steps, h = 2, 150, 0.01
+        scene = sample_configuration(d, 7.0, 0.1, np.random.default_rng(24))
+        planted_r, planted_u = on_axis(d, [0.0])
+        config = Configuration(np.concatenate([scene.radii, planted_r]),
+                               np.vstack([scene.directions, planted_u]), 7.0, 0.1)
+        pot = FactorPotential(PotentialSpec(1.0, 1.0, 10.0), config)
+        r0, u0 = on_axis(d, np.repeat([0.0, 1.5], 30))
+        snaps = [0, 4, 50, 136, n_steps]
+        drift = lambda rr: 0.5 - rr  # noqa: E731
+
+        def walks(buffer):
+            monkeypatch.setattr(diffusion, "DRAW_BUFFER", buffer)
+            calls = []
+
+            def counting(r, u):
+                calls.append(len(r))
+                return FactorPotential.evaluate_polar(pot, r, u)
+
+            monkeypatch.setattr(pot, "evaluate_polar", counting)
+            streams = lambda seed: [(np.random.default_rng(seed + i), 10)  # noqa: E731
+                                    for i in range(3)]
+            held = ensemble_walk(r0, u0, n_steps, h, streams(25), potential=pot,
+                                 snapshot_steps=snaps, blocks=2)
+            drifted = ensemble_walk(r0, u0, n_steps, h, streams(28), snapshot_steps=snaps,
+                                    drift_fn=drift, blocks=2)
+            return len(calls), held, drifted
+
+        default = DRAW_BUFFER // (60 * d)
+        assert default == 136
+        runs = [walks(1), walks(DRAW_BUFFER), walks(4 * 60 * d)]
+        assert [calls for calls, _, _ in runs] == [1 + n_steps, 1 + 2, 1 + 38]
+        _, want, want_drifted = runs[0]
+        assert np.any(want.integrals > 0.0)
+        for _, got, got_drifted in runs[1:]:
+            for a, b in ((got, want), (got_drifted, want_drifted)):
+                assert np.array_equal(a.r, b.r) and np.array_equal(a.u, b.u)
+                assert np.array_equal(a.integrals, b.integrals)
+                assert sorted(a.snapshots) == snaps
+                for k in snaps:
+                    assert all(np.array_equal(x, y)
+                               for x, y in zip(a.snapshots[k], b.snapshots[k]))
 
 
 class TestRadialOracle:

@@ -1,5 +1,7 @@
 """Tilted-measure estimators: Z_T, decay rate, ratios, Q-marginals, Doob."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -416,8 +418,10 @@ class TestLockstepStreams:
                        for k in steps for a, b in zip(e.snapshots[k], t.snapshots[k]))
 
     def test_one_kernel_call_per_step(self, monkeypatch):
-        # the 16 streams advance together: one step_polar and one potential
-        # evaluation per step, not one per stream
+        # the 16 streams advance together: one step_polar call per step, and
+        # one potential evaluation at the start and one per DRAW_BUFFER //
+        # (N d) held steps (204 at N = 40, so one for all ten), never one
+        # per stream
         counts = {"step": 0, "potential": 0}
         step, evaluate = diffusion.step_polar, FactorPotential.evaluate_polar
 
@@ -432,4 +436,6 @@ class TestLockstepStreams:
         monkeypatch.setattr(diffusion, "step_polar", counting_step)
         monkeypatch.setattr(FactorPotential, "evaluate_polar", counting_evaluate)
         estimate_Z(origin(2), planted_trap(), 0.1, 0.01, 40, 0, workers=1)
-        assert counts == {"step": 10, "potential": 11}
+        depth = diffusion.DRAW_BUFFER // (40 * 2)
+        assert counts == {"step": 10, "potential": 1 + math.ceil(10 / depth)}
+        assert counts["potential"] == 2

@@ -11,7 +11,7 @@ from conftest import (
     distance_batch,
     polar_distances_reference,
 )
-from hyptrap import ppp
+from hyptrap import diffusion, ppp
 from hyptrap.diffusion import ambient_from_polar, on_axis
 from hyptrap.ppp import (
     Configuration,
@@ -406,6 +406,51 @@ class TestFactorPotential:
                                spec.profile(polar_distances(r, u, ry, uy)).sum(axis=1))
             assert np.all(np.abs(batch - dense) <= 1e-12 * dense)
             assert np.sum(dense > 0.0) > 200
+
+    def test_row_blocks_are_pointwise(self, monkeypatch):
+        # tables of at most 64 pairs: a row block of 8 rows for k = 8 down to
+        # one row for k > 64, against one query at a time
+        rng = np.random.default_rng(15)
+        config = sample_configuration(2, 6.0, 1.0, rng)
+        pot = FactorPotential(self.spec, config)
+        r = np.concatenate([[5.0], rng.uniform(0.0, 5.0, 299)])
+        u = unit_directions(rng, len(r))
+        whole = pot.evaluate_polar(r, u)
+        alone = np.concatenate([pot.evaluate_polar(r[i:i + 1], u[i:i + 1])
+                                for i in range(len(r))])
+        monkeypatch.setattr(diffusion, "DRAW_BUFFER", 64)
+        cuts = np.searchsorted(np.sort(config.radii), r + self.spec.support_radius)
+        assert len(set(cuts.tolist())) > 20 and cuts.max() == len(config) > 64
+        blocked = pot.evaluate_polar(r, u)
+        assert np.array_equal(blocked, alone) and np.array_equal(blocked, whole)
+        assert np.sum(blocked > 0.0) > 200
+
+    @pytest.mark.parametrize("r0", [1.0, 0.01])
+    def test_queries_past_every_trap_drop_only_zeros(self, r0):
+        # along the farthest trap's direction the distance is r - r_y: a
+        # query just inside r_y + r0 gets that trap's tiny term, and queries
+        # at and past r_y + r0, on either side of the skip threshold
+        # r_y + `_reach` by ulps, get the dense sum over every trap, bitwise
+        spec = PotentialSpec(1.0, r0, np.inf)
+        rng = np.random.default_rng(16)
+        scene = sample_configuration(2, 4.0, 1.0, rng)
+        # the same traps in a window wide enough for queries past them
+        config = Configuration(scene.radii, scene.directions, 7.0, 1.0)
+        order = np.argsort(config.radii, kind="stable")
+        ry, uy = config.radii[order], config.directions[order]
+        pot = FactorPotential(spec, config)
+        skip = ry[-1] + pot._reach
+        ulps = [skip]
+        for _ in range(4):
+            ulps = [np.nextafter(ulps[0], 0.0)] + ulps + [np.nextafter(ulps[-1], np.inf)]
+        r = np.array([ry[-1] + r0 - 1e-12, ry[-1] + r0] + ulps)
+        u = np.tile(uy[-1], (len(r), 1))
+        dense = spec.profile(polar_distances_reference(r, u, ry, uy)).sum(axis=1)
+        assert dense[0] > 0.0 and np.sum(r >= skip) == 5
+        got = pot.evaluate_polar(r, u)
+        assert np.array_equal(got, dense)
+        for i in range(len(r)):
+            assert np.array_equal(pot.evaluate_polar(r[i:i + 1], u[i:i + 1]), dense[i:i + 1])
 
 
 class TestPolarDistances:
