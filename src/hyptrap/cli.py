@@ -322,16 +322,12 @@ def cmd_q_marginal(cfg, out):
     return {"sup_distances": qm.sup_distances}
 
 
-def _oracle(cfg):
-    op = spectral.build_radial_operator(cfg["d"], cfg["r_max"], cfg["m_cells"],
-                                        trap_radial_potential(cfg))
-    return op, spectral.solve_ground_state(op)
-
-
 def _write_oracle(cfg, out):
     """eigenpair.csv, survival.csv and spectrum.csv; returns the operator, its
     ground pair and the survival harmonic h on the grid."""
-    op, spec_out = _oracle(cfg)
+    op = spectral.build_radial_operator(cfg["d"], cfg["r_max"], cfg["m_cells"],
+                                        trap_radial_potential(cfg))
+    spec_out = spectral.solve_ground_state(op)
     write_csv(out / "eigenpair.csv",
               f"# rho={float(spec_out.rho)!r} gap={float(spec_out.gap)!r} "
               f"R_max={float(op.r_max)!r} M={op.m} d={op.d}\nr,phi",
@@ -346,40 +342,6 @@ def _write_oracle(cfg, out):
 def cmd_radial_oracle(cfg, out):
     _, spec_out, _ = _write_oracle(cfg, out)
     return {"rho": spec_out.rho, "gap": spec_out.gap}
-
-
-def cmd_born_check(cfg, out):
-    op, spec_out = _oracle(cfg)
-    z = spec_out.rho + 0.15j  # the ground energy, 0.15 off the real axis
-    w = np.ones(op.m)
-    born, tail = spectral.born_resolvent_apply(op, z, w)
-    direct = spectral.direct_resolvent_solve(op, z, w)
-    rel = float(np.sqrt(op.weighted_dot(born - direct, born - direct))
-                / np.sqrt(op.weighted_dot(direct, direct)))
-    amplified = spectral.build_radial_operator(
-        cfg["d"], cfg["r_max"], cfg["m_cells"],
-        lambda r: 100.0 * trap_radial_potential(cfg)(r))
-    try:
-        spectral.born_resolvent_apply(amplified, z, w)
-        diverged = 0
-    except spectral.BornDivergenceError:
-        diverged = 1
-    write_csv(out / "born.csv", "z_re,z_im,rel_error,tail_bound,amplified_diverges",
-              [(float(np.real(z)), float(np.imag(z)), rel, float(tail), diverged)])
-    return {"rel_error": rel, "amplified_diverges": diverged}
-
-
-def cmd_contour_check(cfg, out):
-    op, spec_out = _oracle(cfg)
-    center = spec_out.rho
-    radius = spec_out.gap / 2.0
-    vec, rayleigh = spectral.contour_projector(spec_out, center, radius)
-    diff = vec - spec_out.phi
-    err_vec = float(np.sqrt(op.weighted_dot(diff, diff)))
-    err_val = abs(rayleigh - spec_out.rho)
-    write_csv(out / "contour.csv", "center,radius,n_quad,vec_error,rayleigh_error",
-              [(center, radius, spectral.N_QUAD, err_vec, err_val)])
-    return {"vec_error": err_vec, "rayleigh_error": err_val}
 
 
 # the gates of fock-check and full-pipeline, fixed so that no config can
@@ -408,9 +370,9 @@ def cmd_fock_check(cfg, out):
 def cmd_full_pipeline(cfg, out):
     """Planted-trap end-to-end: oracle -> MC rate -> phi ratios -> Q vs Doob.
 
-    It writes the tables of radial-oracle, estimate-rho and q-marginal with
-    their writers, and phi-profile's with a fourth column, all from one walk,
-    before its gates set the exit code.
+    It writes radial-oracle's, estimate-rho's and q-marginal's tables with their
+    writers, phi-profile's with a fourth column, all from one walk, and the
+    oracle's born.csv and contour.csv, before its gates set the exit code.
 
     The quantitative targets are the transient-case ground-state pair: decay
     rate zero and the survival harmonic h (the positive solution of
@@ -420,7 +382,6 @@ def cmd_full_pipeline(cfg, out):
     Z_T = h + e^{-TH}(1 - h) (`spectral.finite_horizon_survival`), which
     tends to h(r)/h(0) as T grows.
     """
-    checks = {}
     # the config first: one that cannot be answered fails before any artifact
     _check(feynman_kac.check_horizons, cfg["t_grid"])
     _check(feynman_kac.check_marginal_time, cfg["marginal_time"], cfg["t_grid"])
@@ -429,7 +390,49 @@ def cmd_full_pipeline(cfg, out):
         raise ConfigError("the oracle is one trap at o, so this command needs "
                           "planted = 0 and kappa = 0")
     spec, config, potential = build_scene(cfg)
-    op, _, h_surv = _write_oracle(cfg, out)
+    op, ground, h_surv = _write_oracle(cfg, out)
+
+    # the oracle's self-checks: each error is gated by its method's own error plus
+    # rounding (u the unit roundoff, ||H|| the Gershgorin bound ground.norm_bound);
+    # a backward stable tridiagonal solve at z is off by u ||H|| / dist(z, spectrum)
+    u = 2.0**-53
+    z = ground.rho + 0.15j  # the ground energy, 0.15 off the real axis
+    w = np.ones(op.m)
+    born, tail = spectral.born_resolvent_apply(op, z, w)
+    direct = spectral.direct_resolvent_solve(op, z, w)
+    rel = float(op.weighted_norm(born - direct) / op.weighted_norm(direct))
+    # the tail, plus u ||H|| / |Im z| for each of the 62 solves (orders 0..60 and
+    # the direct one), as |Im z| <= dist(z, spectrum) for a self-adjoint H
+    born_bound = float(tail / op.weighted_norm(direct)) + 62 * u * ground.norm_bound / 0.15
+    amplified = spectral.build_radial_operator(cfg["d"], cfg["r_max"], cfg["m_cells"],
+                                               lambda r: 100.0 * trap_radial_potential(cfg)(r))
+    try:
+        spectral.born_resolvent_apply(amplified, z, w)
+        diverged = 0
+    except spectral.BornDivergenceError:
+        diverged = 1
+    write_csv(out / "born.csv", "z_re,z_im,rel_error,tail_bound,amplified_diverges",
+              [(float(np.real(z)), float(np.imag(z)), rel, float(tail), diverged)])
+    radius = ground.gap / 2.0
+    vec, rayleigh = spectral.contour_projector(ground, ground.rho, radius)
+    vec_error, rayleigh_error = float(op.weighted_norm(vec - ground.phi)), abs(rayleigh - ground.rho)
+    write_csv(out / "contour.csv", "center,radius,n_quad,vec_error,rayleigh_error",
+              [(ground.rho, radius, spectral.N_QUAD, vec_error, rayleigh_error)])
+    # N trapezoid nodes weigh an eigenvalue a from the centre by 1/(1 - (a/radius)^N)
+    # inside the circle and by about (radius/a)^N outside (Trefethen and Weideman,
+    # SIAM Review 2014): exact for rho at the centre, 2^-N for rho + gap at 2 radius,
+    # less further out; every node is radius or more from the spectrum, and phi's
+    # inverse iteration is off by about u ||H|| / gap itself
+    vec_bound = 2.0**-spectral.N_QUAD + u * ground.norm_bound * (1 / radius + 1 / ground.gap)
+    # a unit vector e from phi has its Rayleigh quotient within ||H|| e^2 of rho,
+    # and the quotient's m-term sum, added pairwise, rounds by about log2(m) u ||H||
+    rayleigh_bound = ground.norm_bound * (vec_bound**2 + op.m.bit_length() * u)
+    checks = {"born_matches_direct": rel <= born_bound, "amplified_born_diverges": diverged == 1,
+              "contour_matches_ground": vec_error <= vec_bound and rayleigh_error <= rayleigh_bound}
+    results = {"checks": checks, "oracle_gap": ground.gap, "contour_separation": radius,
+               "born_tail_bound": float(tail), "born_rel_error": {"value": rel, "bound": born_bound},
+               "contour_vec_error": {"value": vec_error, "bound": vec_bound},
+               "contour_rayleigh_error": {"value": rayleigh_error, "bound": rayleigh_bound}}
 
     # one walk from o and the probes serves the rate, the ratios and the
     # Q-marginal
@@ -476,7 +479,7 @@ def cmd_full_pipeline(cfg, out):
     if not all(checks.values()):
         failed = [k for k, v in checks.items() if not v]
         raise RuntimeError(f"pipeline cross-checks failed: {failed}")
-    return {"checks": checks}
+    return results
 
 
 HANDLERS = {
@@ -487,8 +490,6 @@ HANDLERS = {
     "phi-profile": cmd_phi_profile,
     "q-marginal": cmd_q_marginal,
     "radial-oracle": cmd_radial_oracle,
-    "born-check": cmd_born_check,
-    "contour-check": cmd_contour_check,
     "fock-check": cmd_fock_check,
     "full-pipeline": cmd_full_pipeline,
 }

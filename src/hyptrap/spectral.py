@@ -11,7 +11,7 @@ the same tridiagonal form.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +67,7 @@ class RadialSpectrum:
     gap: float
     grid: np.ndarray
     operator: RadialOperator
+    norm_bound: float     # Gershgorin bound on ||H||, where the bisection starts
 
 
 def check_grid(r_max, m):
@@ -156,19 +157,19 @@ def solve_ground_state(op: RadialOperator) -> RadialSpectrum:
     factors = _factor([a - sigma for a in diag], off)
     u = np.ones(op.m)
     rayleigh = np.inf
-    tol = np.finfo(float).eps * max(abs(lo), abs(hi))
+    norm_bound = max(abs(lo), abs(hi))
     while True:
         u = _solve(factors, u.tolist())
         u /= np.linalg.norm(u)
         phi = u / np.sqrt(op.weights)
         quotient = op.weighted_dot(phi, op.apply(phi)) / op.dr
-        if not quotient < rayleigh - tol:
+        if not quotient < rayleigh - np.finfo(float).eps * norm_bound:
             break
         rayleigh = quotient
     if np.any(phi <= 0):
         raise RuntimeError("ground state failed positivity")
     phi = phi / op.weighted_norm(phi)
-    return RadialSpectrum(rho, phi, gap, op.grid, op)
+    return RadialSpectrum(rho, phi, gap, op.grid, op, norm_bound)
 
 
 def _factor(diag, off):
@@ -222,10 +223,7 @@ def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=60):
     Raises BornDivergenceError when the term norms stop decreasing for five
     consecutive orders, mirroring failure of the smallness condition.
     """
-    free = RadialOperator(
-        op.d, op.r_max, op.m, op.grid, op.dr, op.weights, op.face_weights,
-        np.zeros_like(op.potential), op.diag - op.potential, op.offdiag,
-    )
+    free = replace(op, potential=np.zeros_like(op.potential), diag=op.diag - op.potential)
     solve = _resolvent(free, complex(z))
     term = solve(w_vec)
     total = term.copy()

@@ -29,6 +29,10 @@ m_cells = 300
 """
 
 
+# full-pipeline's gates on its own oracle
+ORACLE_GATES = ("born_matches_direct", "amplified_born_diverges", "contour_matches_ground")
+
+
 def write_config(tmp_path, text=FAST, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -57,8 +61,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("cmd,line", [
         ("full-pipeline", "ks_threshold = 0.001"), ("full-pipeline", "rho_tolerance = 1"),
-        ("full-pipeline", "ratio_sigma = 8"), ("contour-check", "n_quad = 32"),
-        ("born-check", "born_kmax = 40"), ("born-check", "born_z_im = 0.3"),
+        ("full-pipeline", "ratio_sigma = 8"), ("full-pipeline", "n_quad = 32"),
+        ("full-pipeline", "born_kmax = 40"), ("full-pipeline", "born_z_im = 0.3"),
         ("fock-check", "fock_samples = 5000"), ("fock-check", "n_max = 5")])
     def test_fixed_settings_are_not_keys(self, tmp_path, capsys, cmd, line):
         # the gate thresholds and the oracle truncations hold one value each
@@ -122,12 +126,13 @@ class TestCommands:
 
     def test_doob_compare_is_not_a_command(self, capsys):
         # full-pipeline is the one planted-trap report; its Q-vs-Doob table
-        # has no command of its own
-        assert len(cli.HANDLERS) == 11
-        with pytest.raises(SystemExit) as exc:
-            main(["doob-compare"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        # and the oracle's Born and contour tables have no command of their own
+        assert len(cli.HANDLERS) == 9
+        for command in ("doob-compare", "born-check", "contour-check"):
+            with pytest.raises(SystemExit) as exc:
+                main([command])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
         path = write_config(tmp_path, "bogus = 1\n")
@@ -288,11 +293,62 @@ class TestCommands:
                        (tmp_path / "phi-profile" / "phi_ratio.csv").read_text().splitlines()]
 
     def test_born_and_contour_checks(self, tmp_path):
+        # full-pipeline writes the Born and contour tables from its own ground
+        # pair, whatever its walk gates say, and their gates pass
         path = write_config(tmp_path)
-        for cmd, artifact in (("born-check", "born.csv"), ("contour-check", "contour.csv")):
-            out = tmp_path / cmd
-            assert main([cmd, "--config", path, "--out", str(out)]) == 0
-            assert (out / artifact).exists()
+        out = tmp_path / "out"
+        main(["full-pipeline", "--config", path, "--out", str(out)])
+        cfg = resolve_config(parse_config(path))
+        op = spectral.build_radial_operator(2, 30.0, 300, cli.trap_radial_potential(cfg))
+        ground = spectral.solve_ground_state(op)
+        z, w = ground.rho + 0.15j, np.ones(op.m)
+        born, tail = spectral.born_resolvent_apply(op, z, w)
+        direct = spectral.direct_resolvent_solve(op, z, w)
+        rel = op.weighted_norm(born - direct) / op.weighted_norm(direct)
+        assert (out / "born.csv").read_text() == (
+            "z_re,z_im,rel_error,tail_bound,amplified_diverges\n"
+            f"{ground.rho!r},0.15,{float(rel)!r},{float(tail)!r},1\n")
+        radius = ground.gap / 2
+        vec, rayleigh = spectral.contour_projector(ground, ground.rho, radius)
+        vec_error = op.weighted_norm(vec - ground.phi)
+        assert (out / "contour.csv").read_text() == (
+            "center,radius,n_quad,vec_error,rayleigh_error\n"
+            f"{ground.rho!r},{radius!r},64,{float(vec_error)!r},{abs(rayleigh - ground.rho)!r}\n")
+        checks = json.loads((out / "checks.json").read_text())
+        assert all(checks[gate] for gate in ORACLE_GATES)
+
+    @pytest.mark.parametrize("name,gate", [("born_resolvent_apply", "born_matches_direct"),
+                                           ("contour_projector", "contour_matches_ground")])
+    def test_oracle_gates_have_power(self, tmp_path, monkeypatch, name, gate):
+        # an oracle vector off by 1e-9 relative passes criterion 7's 1e-8 but
+        # lies 100 times past its gate's bound here (about 1e-11): full-pipeline
+        # exits 1 on that gate and still writes every table
+        exact = getattr(spectral, name)
+
+        def perturbed(*args):
+            vec, other = exact(*args)
+            return vec * (1.0 + 1e-9), other
+
+        monkeypatch.setattr(spectral, name, perturbed)
+        out = tmp_path / "out"
+        assert main(["full-pipeline", "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 1
+        checks = json.loads((out / "checks.json").read_text())
+        assert {g: checks[g] for g in ORACLE_GATES} == {g: g != gate for g in ORACLE_GATES}
+        assert (out / "born.csv").exists() and (out / "contour.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_full_pipeline_solves_the_ground_pair_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = spectral.solve_ground_state
+
+        def counting_solve(op):
+            calls.append(op)
+            return solve(op)
+
+        monkeypatch.setattr(spectral, "solve_ground_state", counting_solve)
+        main(["full-pipeline", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")])
+        assert len(calls) == 1
 
     def test_fock_check(self, tmp_path):
         path = write_config(tmp_path, "fock_volumes = 1\n")

@@ -253,6 +253,10 @@ class TestAgainstLapack:
         vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 1))
         assert abs(spec.rho - vals[0]) <= 1e-10
         assert abs(spec.gap - (vals[1] - vals[0])) <= 1e-10
+        # the norm bound the oracle gates' rounding allowances scale with
+        top = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True,
+                               select="i", select_range=(m - 1, m - 1))
+        assert -spec.norm_bound <= vals[0] and top[0] <= spec.norm_bound
         phi = vecs[:, 0] / np.sqrt(op.weights)
         phi *= np.sign(np.sum(phi)) / op.weighted_norm(phi)
         assert op.weighted_norm(spec.phi - phi) <= 1e-9
