@@ -176,12 +176,11 @@ def write_csv(path, header, rows):
     # floats as their shortest round-trip repr, a numpy scalar through float
     # (numpy 2 reprs it as np.float64(...)); Python floats, the common case,
     # are tested first
+    lines = [header, *(",".join([repr(x) if type(x) is float
+                                 else repr(float(x)) if isinstance(x, np.floating)
+                                 else str(x) for x in row]) for row in rows)]
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join([repr(x) if type(x) is float
-                               else repr(float(x)) if isinstance(x, np.floating)
-                               else str(x) for x in row]) + "\n")
+        fh.write("".join([line + "\n" for line in lines]))
 
 
 def write_json(path, obj):

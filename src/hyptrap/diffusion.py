@@ -15,12 +15,13 @@ the walks reach.  The ambient form is only an output format
 
 Inside a walk the directions are column-major, (d, N) with one contiguous
 row per component, so each operation of a step runs over the N paths rather
-than over d entries at a time, the Gaussian draws come several steps per
-generator call, and the potential is evaluated on several steps' states per
-call.  None of this changes a bit: the arithmetic is the same per path, a
-generator emits the same numbers in the same order, and the potential is a
-function of each state alone.  Everything outside a walk sees (N, d)
-directions.
+than over d entries at a time; the Gaussian draws, with their geometry, come
+several steps per generator call; each step runs in place and writes its
+state into a row of the walk's held buffers; and the potential is evaluated
+on several steps' states per call.  None of this changes a bit: the
+arithmetic is the same per path, a generator emits the same numbers in the
+same order, and the potential is a function of each state alone.
+Everything outside a walk sees (N, d) directions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_STEP = 0.1
-#: doubles that a walk holds at once of Gaussian draws and of held directions
+#: doubles of Gaussian draws and path states that a walk holds at once
 #: (`ensemble_walk`), and query-trap pairs of one potential table
 #: (`ppp.FactorPotential`)
 DRAW_BUFFER = 1 << 14
@@ -84,25 +85,42 @@ def _draws(rng, n):
 
 
 def _column_draws(draws, m, d, h):
-    """The next m steps' scaled draws, (m, d, n) in C order: step k's draw is
+    """The next m steps' scaled draws, (m, d, n) in C order, and their
+    geometry sinh(n) / n and cosh n, (m, n), with n = |xi|: step k's draw is
     the contiguous (d, n) block [k].  Each stream makes one (m, rows, d)
     call, which a generator fills in C order, so it emits the numbers that m
-    calls of (rows, d) would, in the same order."""
+    calls of (rows, d) would, in the same order; the geometry acts draw by
+    draw, so it is bitwise that of each step's draw alone."""
     xi = np.concatenate([g.standard_normal((m, rows, d)) for g, rows in draws], axis=1)
-    return np.multiply(xi.transpose(0, 2, 1), np.sqrt(h), order="C")
+    xi = np.multiply(xi.transpose(0, 2, 1), np.sqrt(h), order="C")
+    return (xi, *_geometry(xi.transpose(1, 0, 2)))
 
 
-def _column_dot(a, b):
-    """Sums of a * b over the first axis (the d components, broadcasting the
-    rest), folding the components left to right.  Below 8 components this is
+def _column_sum(a, out):
+    """The sum of a over its first axis (the d >= 2 components), into `out`,
+    folding the components left to right.  Below 8 components this is
     bitwise numpy's sum along each row of the (N, d) layout."""
-    s = a[0] * b[0]
-    for j in range(1, len(a)):
-        s += a[j] * b[j]
-    return s
+    np.add(a[0], a[1], out=out)
+    for row in a[2:]:
+        out += row
+    return out
 
 
-def step_polar(r, U, h, xi, drift_fn=None):
+def _geometry(xi):
+    """sinh(n) / n (1 where n <= 1e-300) and cosh n of draws xi with their
+    components along the first axis, n = |xi|."""
+    n = _column_sum(np.square(xi), np.empty(xi.shape[1:]))
+    np.sqrt(n, out=n)
+    sinc = np.sinh(n)
+    if (n > 1e-300).all():
+        sinc /= n
+    else:
+        sinc /= np.maximum(n, 1e-300)
+        sinc[~(n > 1e-300)] = 1.0
+    return sinc, np.cosh(n)
+
+
+def step_polar(r, U, h, xi, drift_fn=None, geometry=None, out=None):
     """Advance a polar-state batch by one geodesic-random-walk step.
 
     The Gaussian tangent components xi split into the part along the radial
@@ -116,39 +134,60 @@ def step_polar(r, U, h, xi, drift_fn=None):
     contiguous row per component, so every operation runs over the paths.
     `xi` is the step's Gaussian draw scaled by sqrt(h), (d, n) for one block
     of n paths; it broadcasts over the N / n equal blocks of paths, which
-    share it, and without a drift the draw's geometry (n, sinh n / n and
-    cosh n) is computed once on the block and broadcast with it.  Sums over
-    the components fold them left to right, which is bitwise numpy's row
-    reduction below 8 components, and the 1e-300 guards divide by the
-    guarded value and patch the guarded paths, which is bitwise np.where's
-    result.  Every operation acts path by path, so each path takes bitwise
-    the step it would take alone from its own state and draw.  Returns
-    r' (N,) and U' (d, N).
+    share it, with its `geometry`, the pair (sinh n / n, cosh n) of
+    `_column_draws` (computed here if None).  A drift gives every path its
+    own draw, whose geometry the step computes path by path.
+
+    The step writes r' and U' into `out`, a pair of (N,) and (d, N) arrays
+    that must not overlap r or U (new arrays if None), and returns them.
+    Its arithmetic runs in place in arrays of its own, and each operation
+    rounds the operands of the formula above in its order; sums over the
+    components fold them left to right, which is bitwise numpy's row
+    reduction below 8 components, and each 1e-300 guard patches the guarded
+    paths only when one is guarded, which is bitwise np.where's result.
+    Every operation acts path by path, so each path takes bitwise the step
+    it would take alone from its own state and draw.
     """
     d, N = U.shape
-    blocks = N // xi.shape[1]
+    r_new, U_new = (np.empty(N), np.empty((d, N))) if out is None else out
     if drift_fn is not None:
         # the drift gives every path its own xi: nothing is shared from here
-        xi = np.tile(xi, blocks) + (h * drift_fn(r)) * U
-        blocks = 1
-    n = np.sqrt(_column_dot(xi, xi))
-    sinc = np.sinh(n) / np.maximum(n, 1e-300)
-    sinc[~(n > 1e-300)] = 1.0
-    cosh_n = np.cosh(n)
-    # one block of paths per middle index: the draw's columns broadcast over them
-    r = r.reshape(blocks, -1)
-    U = U.reshape(d, blocks, -1)
-    xi_r = _column_dot(xi, U)
-    xi_perp = xi[:, None, :] - xi_r * U
-    alpha = cosh_n * np.sinh(r) + sinc * xi_r * np.cosh(r)
-    vec = alpha * U + sinc * xi_perp
-    norm = np.sqrt(_column_dot(vec, vec))
-    r_new = np.arcsinh(norm)
-    U_new = vec / np.maximum(norm, 1e-300)
-    np.copyto(U_new, U, where=~(norm > 1e-300))
+        drifted = np.multiply(h * drift_fn(r), U)
+        by_block = drifted.reshape(d, -1, xi.shape[1])
+        by_block += xi[:, None]
+        xi, geometry = drifted, None
+    sinc, cosh_n = _geometry(xi) if geometry is None else geometry
+    r_out, vec = r_new, U_new
+    if xi.shape[1] < N:
+        # one block of paths per middle index: the draw's columns broadcast
+        # over them (a lone block keeps the flat rows, whose loops are faster)
+        shape = (N // xi.shape[1], xi.shape[1])
+        r, U, xi = r.reshape(shape), U.reshape(d, *shape), xi[:, None]
+        r_out, vec = r_new.reshape(shape), U_new.reshape(d, *shape)
+    work = np.empty(U.shape)
+    xi_r, alpha, scratch = np.empty(r.shape), np.empty(r.shape), np.empty(r.shape)
+    _column_sum(np.multiply(xi, U, out=work), xi_r)
+    # alpha = cosh n sinh r + (sinc xi_r) cosh r
+    np.sinh(r, out=alpha)
+    alpha *= cosh_n
+    np.multiply(sinc, xi_r, out=scratch)
+    scratch *= np.cosh(r, out=work[0])
+    alpha += scratch
+    # vec = alpha u + sinc (xi - xi_r u)
+    np.multiply(xi_r, U, out=vec)
+    np.subtract(xi, vec, out=vec)
+    vec *= sinc
+    vec += np.multiply(alpha, U, out=work)
+    norm = np.sqrt(_column_sum(np.square(vec, out=work), scratch), out=scratch)
+    np.arcsinh(norm, out=r_out)
+    if (norm > 1e-300).all():
+        vec /= norm
+    else:
+        vec /= np.maximum(norm, 1e-300)
+        np.copyto(vec, U, where=~(norm > 1e-300))
     # keep directions exactly unit against slow drift
-    U_new /= np.sqrt(_column_dot(U_new, U_new))
-    return r_new.reshape(N), U_new.reshape(d, N)
+    vec /= np.sqrt(_column_sum(np.square(vec, out=work), alpha), out=alpha)
+    return r_new, U_new
 
 
 @dataclass
@@ -182,12 +221,16 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
     Each stream draws several steps per generator call, as many as keep the
     walk's draws within DRAW_BUFFER doubles (one step at a time for a wide
     ensemble), and never past the last step, so a generator is left where
-    per-step draws would leave it.  The states of up to
-    depth = DRAW_BUFFER // (N d) steps are held in buffers allocated once,
-    (depth, N) radii and (d, depth, N) directions, and `evaluate_polar` is
-    called once per filled buffer (and once for a last, partial one) on all
-    of them, as (depth N, d) directions; the trapezoid sums and snapshots
-    then run step by step over its rows.  The step and the potential are
+    per-step draws would leave it; the draws' geometry is computed once on
+    the whole chunk.  The states of up to depth = DRAW_BUFFER // N steps
+    (16 at 1,000 paths, 3 at 5,000) are held in buffers allocated once,
+    (depth, N) radii and (d, depth, N) directions, and each step writes its
+    state straight into its row; at depth 1 that row would be the one the
+    step reads, so there the step writes new arrays, which stand in for the
+    buffers.  `evaluate_polar` is called once per filled buffer (and once
+    for a last, partial one) on all of its steps, as (depth N, d)
+    directions; the trapezoid sums and snapshots then run step by step over
+    its rows.  The step and the potential are
     functions of each path alone, so every (stream, block) segment is
     bitwise the walk that stream would take alone from that block's starts,
     whatever the depth.  A WindowError surfaces at the buffer holding the
@@ -203,8 +246,9 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
     if sum(rows for _, rows in draws) * blocks != N:
         raise ValueError("the streams' rows must add up to one block of paths")
     chunk = max(1, DRAW_BUFFER // (n * d))
-    depth = max(1, DRAW_BUFFER // (N * d))
-    r_held, U_held = np.empty((depth, N)), np.empty((d, depth, N))
+    depth = max(1, DRAW_BUFFER // N)
+    if depth > 1:
+        r_held, U_held = np.empty((depth, N)), np.empty((d, depth, N))
     integrals = np.zeros(N)
     snapshots = {}
     if potential is not None:
@@ -214,10 +258,16 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
     for k in range(1, n_steps + 1):
         j = (k - 1) % chunk
         if j == 0:
-            xi = _column_draws(draws, min(chunk, n_steps + 1 - k), d, h)
-        r, U = step_polar(r, U, h, xi[j], drift_fn=drift_fn)
+            xi, sinc, cosh_n = _column_draws(draws, min(chunk, n_steps + 1 - k), d, h)
         i = (k - 1) % depth
-        r_held[i], U_held[:, i] = r, U
+        # each step writes its state into its held row; at depth 1 that row
+        # would be the one the step reads, so there the step writes new
+        # arrays, and they are the held row
+        out = (r_held[i], U_held[:, i]) if depth > 1 else None
+        r, U = step_polar(r, U, h, xi[j], drift_fn=drift_fn, geometry=(sinc[j], cosh_n[j]),
+                          out=out)
+        if out is None:
+            r_held, U_held = r[None], U[:, None]
         if i + 1 < depth and k < n_steps:
             continue
         # one potential call for the held steps k - i .. k, then their
@@ -232,4 +282,4 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
             if step in snapshot_steps:
                 snapshots[step] = (r_held[row].copy(), U_held[:, row].T.copy(),
                                    integrals.copy())
-    return WalkResult(r, U.T.copy(), integrals, snapshots)
+    return WalkResult(r.copy(), U.T.copy(), integrals, snapshots)

@@ -109,9 +109,9 @@ def simulate_tilted_ensemble(starts, potential: PotentialField, T, h, N, seed,
     block-major: each block holds the rows of every stream in stream order,
     so a start's ensemble is one contiguous slice of it.  `potential` is
     called once per chunk of held steps (`diffusion.ensemble_walk`) on every
-    stream, block and step of the chunk together, so a fused walk of many
-    starts holds fewer steps per call than a lone start's walk, with the
-    same bits.
+    stream, block and step of the chunk together: a fused walk of B starts
+    holds diffusion.DRAW_BUFFER // (B N) steps per call, fewer than a lone
+    start's walk, with the same bits.
     """
     n_steps = int(round(T / h))
     if not diffusion.on_step_grid(T, h):

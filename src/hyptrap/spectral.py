@@ -110,14 +110,18 @@ def build_radial_operator(d, r_max, m, potential) -> RadialOperator:
 
 def _sturm_count(diag, off, x):
     """The number of eigenvalues below x of the symmetric tridiagonal matrix
-    (diag, off[1:]), given as lists with off[0] = 0: the negative pivots of
-    the LDL^T factorization of T - x (Sylvester)."""
+    (diag, off[1:]), given as lists with off[0] = 0, counted up to 2: the
+    negative pivots of the LDL^T factorization of T - x (Sylvester).  The
+    count stops at the second negative pivot, since the bisection of the two
+    lowest eigenvalues reads only whether it exceeds 0 and 1."""
     below = 0
     q = 1.0
     for a, b in zip(diag, off):
         q = a - x - b / q * b
         if q <= 0.0:
             below += 1
+            if below == 2:
+                break
             if q == 0.0:
                 q = -sys.float_info.min
     return below
@@ -221,7 +225,9 @@ def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=60):
     """Partial Born sum (H-z)^{-1} w = sum_k R_0 (-V R_0)^k w with tail report.
 
     Raises BornDivergenceError when the term norms stop decreasing for five
-    consecutive orders, mirroring failure of the smallness condition.
+    consecutive orders, mirroring failure of the smallness condition.  The
+    tail is the geometric bound from the last ratio of term norms; a series
+    that reaches an exact 0 term has no tail, and reports 0.
     """
     free = replace(op, potential=np.zeros_like(op.potential), diag=op.diag - op.potential)
     solve = _resolvent(free, complex(z))
@@ -245,7 +251,8 @@ def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=60):
         ratio = norm / prev_norm if prev_norm > 0 else 0.0
         prev_norm = norm
         if norm == 0.0:
-            break
+            # every later term is 0 too: the sum is complete
+            return total, 0.0
     tail = prev_norm * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else np.inf
     return total, tail
 

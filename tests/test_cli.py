@@ -338,6 +338,25 @@ class TestCommands:
         assert (out / "born.csv").exists() and (out / "contour.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_born_gate_has_power_where_the_series_ends(self, tmp_path, monkeypatch):
+        # in H^5 with a weak narrow trap the Born terms reach exactly 0: the
+        # tail reads 0, so the gate's bound stays finite and a Born vector off
+        # by 1e-7 relative fails it
+        path = write_config(tmp_path, FAST + "d = 5\nvmax = 0.02\nr0 = 0.5\nm_cells = 3000\n")
+        main(["full-pipeline", "--config", path, "--out", str(tmp_path / "exact")])
+        born = (tmp_path / "exact" / "born.csv").read_text().splitlines()[1].split(",")
+        assert float(born[3]) == 0.0
+        assert json.loads((tmp_path / "exact" / "checks.json").read_text())["born_matches_direct"]
+        exact = spectral.born_resolvent_apply
+
+        def perturbed(*args):
+            vec, tail = exact(*args)
+            return vec * (1.0 + 1e-7), tail
+
+        monkeypatch.setattr(spectral, "born_resolvent_apply", perturbed)
+        main(["full-pipeline", "--config", path, "--out", str(tmp_path / "off")])
+        assert not json.loads((tmp_path / "off" / "checks.json").read_text())["born_matches_direct"]
+
     def test_full_pipeline_solves_the_ground_pair_once(self, tmp_path, monkeypatch):
         calls = []
         solve = spectral.solve_ground_state

@@ -135,6 +135,26 @@ class TestStepKernel:
             still = np.isin(np.arange(len(r0)) % 12, [5, 6, 7]) & (r0 == 0.0)
             assert still.any() and np.all(r[still] == 0.0)
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    @pytest.mark.parametrize("blocks", [1, 5])
+    @pytest.mark.parametrize("drift", [None, lambda rr: 0.5 - rr])
+    def test_chunk_geometry_and_held_rows_are_bitwise(self, d, blocks, drift):
+        # three steps on one chunk's draws and geometry, each written into its
+        # row of held (3, N) and (d, 3, N) buffers as the walk does, equal the
+        # plain calls bit for bit; the zero draws hit both 1e-300 guards
+        r0, u0, seeds = kernel_inputs(d, blocks, 50 + d)
+        xi, sinc, cosh_n = diffusion._column_draws(kernel_streams(seeds), 3, d, 0.01)
+        r_held, U_held = np.empty((3, len(r0))), np.empty((d, 3, len(r0)))
+        r, U = r0, np.ascontiguousarray(u0.T)
+        want = r, U
+        for j in range(3):
+            out = (r_held[j], U_held[:, j])
+            r, U = step_polar(r, U, 0.01, xi[j], drift_fn=drift,
+                              geometry=(sinc[j], cosh_n[j]), out=out)
+            assert r is out[0] and U is out[1]
+            want = step_polar(*want, 0.01, xi[j], drift_fn=drift)
+            assert np.array_equal(r, want[0]) and np.array_equal(U, want[1])
+
     @pytest.mark.parametrize("blocks", [1, 5])
     def test_eight_columns_within_ulp(self, blocks):
         # from 8 columns numpy sums a row pairwise, not left to right; a
@@ -305,11 +325,12 @@ class TestEnsembleWalk:
         assert np.array_equal(res.integrals, np.zeros(50))
 
     def test_held_steps_per_potential_call_are_bitwise(self, monkeypatch):
-        # one potential call per step (DRAW_BUFFER 1), per 136 steps (the
-        # default) and per 4 steps, none of which divides the 150 steps, give
-        # the same walk, integrals and snapshots bit for bit: at step 0, at
-        # chunk edges (4, 136) and inside chunks (50); three streams, two
-        # blocks, a sampled scene and a trap planted at o
+        # one potential call per step (DRAW_BUFFER 1), for all 150 steps (the
+        # default holds 273), per 136 steps and per 4 steps, neither of which
+        # divides the 150 steps, give the same walk, integrals and snapshots
+        # bit for bit: at step 0, at chunk edges (4, 136) and inside chunks
+        # (50); three streams, two blocks, a sampled scene and a trap planted
+        # at o
         d, n_steps, h = 2, 150, 0.01
         scene = sample_configuration(d, 7.0, 0.1, np.random.default_rng(24))
         planted_r, planted_u = on_axis(d, [0.0])
@@ -337,10 +358,10 @@ class TestEnsembleWalk:
                                     drift_fn=drift, blocks=2)
             return len(calls), held, drifted
 
-        default = DRAW_BUFFER // (60 * d)
-        assert default == 136
-        runs = [walks(1), walks(DRAW_BUFFER), walks(4 * 60 * d)]
-        assert [calls for calls, _, _ in runs] == [1 + n_steps, 1 + 2, 1 + 38]
+        # the depth is DRAW_BUFFER // N held steps of the N = 60 paths
+        assert DRAW_BUFFER // 60 == 273
+        runs = [walks(1), walks(DRAW_BUFFER), walks(136 * 60), walks(4 * 60)]
+        assert [calls for calls, _, _ in runs] == [1 + n_steps, 1 + 1, 1 + 2, 1 + 38]
         _, want, want_drifted = runs[0]
         assert np.any(want.integrals > 0.0)
         for _, got, got_drifted in runs[1:]:
@@ -351,6 +372,28 @@ class TestEnsembleWalk:
                 for k in snaps:
                     assert all(np.array_equal(x, y)
                                for x, y in zip(a.snapshots[k], b.snapshots[k]))
+
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_depth_one_keeps_the_rows_it_reads(self, monkeypatch, blocks):
+        # at depth 1 (DRAW_BUFFER 1) the held row is the one each step reads;
+        # zero draws leave the paths at o at r = 0 with their own directions,
+        # which a step written over the row it reads would lose to 0 / 0
+        monkeypatch.setattr(diffusion, "DRAW_BUFFER", 1)
+        r0, u0, seeds = kernel_inputs(3, blocks, 70)
+        res = ensemble_walk(r0, u0, 4, 0.01, kernel_streams(seeds), snapshot_steps=[2],
+                            blocks=blocks)
+        r, u, streams = r0, u0, kernel_streams(seeds)
+        for k in range(1, 5):
+            r, u = step_polar_reference(r, u, 0.01, streams, blocks=blocks)
+            if k == 2:
+                assert np.array_equal(res.snapshots[2][0], r)
+                assert np.array_equal(res.snapshots[2][1], u)
+        assert np.array_equal(res.r, r) and np.array_equal(res.u, u)
+        still = np.isin(np.arange(len(r0)) % 12, [5, 6, 7]) & (r0 == 0.0)
+        assert still.any() and np.all(res.r[still] == 0.0)
+        # each step renormalises the direction, which may move its last bit
+        assert np.max(np.abs(res.u[still] - u0[still])) <= 4 * np.finfo(float).eps
 
 
 class TestRadialOracle:

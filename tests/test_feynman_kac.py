@@ -419,9 +419,9 @@ class TestLockstepStreams:
 
     def test_one_kernel_call_per_step(self, monkeypatch):
         # the 16 streams advance together: one step_polar call per step, and
-        # one potential evaluation at the start and one per DRAW_BUFFER //
-        # (N d) held steps (204 at N = 40, so one for all ten), never one
-        # per stream
+        # one potential evaluation at the start and one per DRAW_BUFFER // N
+        # held steps (409 at N = 40, so one for all ten), never one per
+        # stream
         counts = {"step": 0, "potential": 0}
         step, evaluate = diffusion.step_polar, FactorPotential.evaluate_polar
 
@@ -436,6 +436,6 @@ class TestLockstepStreams:
         monkeypatch.setattr(diffusion, "step_polar", counting_step)
         monkeypatch.setattr(FactorPotential, "evaluate_polar", counting_evaluate)
         estimate_Z(origin(2), planted_trap(), 0.1, 0.01, 40, 0, workers=1)
-        depth = diffusion.DRAW_BUFFER // (40 * 2)
+        depth = diffusion.DRAW_BUFFER // 40
         assert counts == {"step": 10, "potential": 1 + math.ceil(10 / depth)}
         assert counts["potential"] == 2

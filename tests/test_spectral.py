@@ -182,6 +182,17 @@ class TestBornSeries:
         assert rel < 1e-8
         assert np.isfinite(tail)
 
+    def test_series_ending_on_a_zero_term_has_no_tail(self):
+        # a weak narrow trap in H^5: the terms reach exactly 0 before order 60,
+        # and the series is then complete, so its tail is 0, not inf
+        op = build_radial_operator(5, 30.0, 3000,
+                                   lambda r: trap_potential(r, v_max=0.02, r0=0.5))
+        z = solve_ground_state(op).rho + 0.15j
+        born, tail = born_resolvent_apply(op, z, np.ones(op.m))
+        direct = direct_resolvent_solve(op, z, np.ones(op.m))
+        assert tail == 0.0
+        assert op.weighted_norm(born - direct) / op.weighted_norm(direct) < 1e-12
+
     def test_amplified_potential_diverges(self):
         big = build_radial_operator(2, 30.0, 3000,
                                     lambda r: 100.0 * trap_potential(r))
