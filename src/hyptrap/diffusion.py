@@ -2,8 +2,7 @@
 
 One step from x draws Gaussian components in an orthonormal tangent frame
 and follows the geodesic: weak order 1 for the generator (1/2)
-Laplace-Beltrami, and exactly manifold-preserving.  The same walk with an
-extra radial drift term serves the Doob-transformed dynamics.
+Laplace-Beltrami, and exactly manifold-preserving.
 
 Every point of the package, start, trap or path state, is kept in polar
 form (geodesic radius r from the origin o, unit direction u in T_o H^d): the
@@ -120,7 +119,7 @@ def _geometry(xi):
     return sinc, np.cosh(n)
 
 
-def step_polar(r, U, h, xi, drift_fn=None, geometry=None, out=None):
+def step_polar(r, U, h, xi, geometry=None, out=None):
     """Advance a polar-state batch by one geodesic-random-walk step.
 
     The Gaussian tangent components xi split into the part along the radial
@@ -135,8 +134,7 @@ def step_polar(r, U, h, xi, drift_fn=None, geometry=None, out=None):
     `xi` is the step's Gaussian draw scaled by sqrt(h), (d, n) for one block
     of n paths; it broadcasts over the N / n equal blocks of paths, which
     share it, with its `geometry`, the pair (sinh n / n, cosh n) of
-    `_column_draws` (computed here if None).  A drift gives every path its
-    own draw, whose geometry the step computes path by path.
+    `_column_draws` (computed here if None).
 
     The step writes r' and U' into `out`, a pair of (N,) and (d, N) arrays
     that must not overlap r or U (new arrays if None), and returns them.
@@ -150,12 +148,6 @@ def step_polar(r, U, h, xi, drift_fn=None, geometry=None, out=None):
     """
     d, N = U.shape
     r_new, U_new = (np.empty(N), np.empty((d, N))) if out is None else out
-    if drift_fn is not None:
-        # the drift gives every path its own xi: nothing is shared from here
-        drifted = np.multiply(h * drift_fn(r), U)
-        by_block = drifted.reshape(d, -1, xi.shape[1])
-        by_block += xi[:, None]
-        xi, geometry = drifted, None
     sinc, cosh_n = _geometry(xi) if geometry is None else geometry
     r_out, vec = r_new, U_new
     if xi.shape[1] < N:
@@ -206,7 +198,7 @@ class WalkResult:
 
 
 def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
-                  drift_fn=None, blocks=1) -> WalkResult:
+                  blocks=1) -> WalkResult:
     """Advance N paths in lockstep, accumulating int V dt by trapezoid rule.
 
     This is the one geodesic-walk loop: every estimator and `simulate-bm`'s
@@ -264,8 +256,7 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
         # would be the one the step reads, so there the step writes new
         # arrays, and they are the held row
         out = (r_held[i], U_held[:, i]) if depth > 1 else None
-        r, U = step_polar(r, U, h, xi[j], drift_fn=drift_fn, geometry=(sinc[j], cosh_n[j]),
-                          out=out)
+        r, U = step_polar(r, U, h, xi[j], geometry=(sinc[j], cosh_n[j]), out=out)
         if out is None:
             r_held, U_held = r[None], U[:, None]
         if i + 1 < depth and k < n_steps:

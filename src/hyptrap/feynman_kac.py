@@ -1,11 +1,10 @@
 """Estimators for the tilted path measure exp(-int_0^T V(X_s) ds).
 
-Survival constants Z_T^x, decay-rate extraction, eigenfunction ratios,
-Q-process marginals and terminal radii of the Doob-transformed dynamics.
-The decay rate, the ratios and the marginals read the PathEnsembles that
-`simulate_tilted_ensemble` returns, so one walk with snapshots serves all
-three; they form log Z as a max-shifted log-mean-exp, which stays finite
-where exp(-int V) underflows.
+Survival constants Z_T^x, decay-rate extraction, eigenfunction ratios and
+Q-process marginals.  The decay rate, the ratios and the marginals read the
+PathEnsembles that `simulate_tilted_ensemble` returns, so one walk with
+snapshots serves all three; they form log Z as a max-shifted log-mean-exp,
+which stays finite where exp(-int V) underflows.
 
 Randomness is organized as a fixed fan-out of NUM_STREAMS child streams per
 seed.  An ensemble walks its streams in lockstep: time is the outer loop, and
@@ -25,7 +24,7 @@ import numpy as np
 # first default_rng call of a run
 import numpy.random  # noqa: F401
 
-from hyptrap import diffusion, spectral
+from hyptrap import diffusion
 from hyptrap.ppp import PotentialField
 from hyptrap.stats import effective_sample_size, log_mean_exp, weighted_cdf
 
@@ -97,7 +96,7 @@ class GroundStateEstimate:
 
 
 def simulate_tilted_ensemble(starts, potential: PotentialField, T, h, N, seed,
-                             snapshot_times=(), drift_fn=None, workers=1):
+                             snapshot_times=(), workers=1):
     """N independent walks from each start, with streaming trapezoid
     potential integrals; one PathEnsemble per start.
 
@@ -129,8 +128,7 @@ def simulate_tilted_ensemble(starts, potential: PotentialField, T, h, N, seed,
         n = sum(size for _, size in group)
         return diffusion.ensemble_walk(np.repeat(r_start, n), np.repeat(u_start, n, axis=0),
                                        n_steps, h, group, potential=potential,
-                                       snapshot_steps=snap_steps, drift_fn=drift_fn,
-                                       blocks=blocks)
+                                       snapshot_steps=snap_steps, blocks=blocks)
 
     results = _run_groups(job, streams, workers=workers)
 
@@ -262,7 +260,7 @@ def estimate_phi_ratio(base: PathEnsemble, probes):
 
 
 # ---------------------------------------------------------------------------
-# Q-process marginals and Doob-transformed dynamics
+# Q-process marginals
 # ---------------------------------------------------------------------------
 
 
@@ -301,13 +299,3 @@ def q_marginal(ensemble: PathEnsemble, t, T_grid) -> QMarginal:
         sup_d.append(float(np.max(np.abs(c1 - c2))))
     return QMarginal(radii, weights_by_T, sup_d)
 
-
-def doob_final_radii(x0, grid, phi, T, h, N, seed, workers=1):
-    """Terminal radii of N paths from the one start x0 = (r, u) of the
-    Doob-transformed diffusion (1/2)Lap + (log phi)' d_r, with `phi` a
-    positive radial eigenfunction tabulated on `grid` (no potential
-    weighting)."""
-    drift = spectral.log_derivative_interpolant(grid, phi)
-    ens, = simulate_tilted_ensemble(x0, None, T, h, N, seed, drift_fn=drift,
-                                    workers=workers)
-    return ens.final_radii

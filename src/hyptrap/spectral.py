@@ -350,26 +350,21 @@ def finite_horizon_survival(op: RadialOperator, T):
     return h + apply_semigroup(op, T, 1.0 - h)
 
 
-def log_derivative_interpolant(grid, phi):
-    """(log phi)'(r) from the difference quotients of log phi at the midpoints
-    between grid points, linear in between: the operator's face gradient.
+def q_marginal_law(op: RadialOperator, t, T):
+    """The radial law of X_t under the path measure from o tilted by
+    exp(-int_0^T V), and its T -> infinity limit, the Doob transform by the
+    survival harmonic h: their CDFs (F_T, F_inf) at the cell faces k dr,
+    k = 0..m, linear in between.
 
-    The returned callable raises on queries beyond the grid (no silent
-    extrapolation); queries outside the midpoints clamp to the nearest.
-    """
-    if np.any(np.asarray(phi) <= 0):
-        raise ValueError("phi must be strictly positive on its grid")
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    slope = np.diff(np.log(np.asarray(phi, dtype=float))) / np.diff(grid)
-    r_hi = float(grid[-1])
-
-    def dlogphi(r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r > r_hi + 1e-12):
-            raise ValueError(
-                f"radius {float(np.max(r)):.4f} outside the eigenfunction grid "
-                f"(max {r_hi:.4f})"
-            )
-        return np.interp(r, mid, slope)
-
-    return dlogphi
+    The law of X_t has density [e^{-tH} delta_o](r) Z_{T-t}(r) sinh^{d-1}(r),
+    with delta_o the first cell holding mass 1 and Z_{T-t} the finite-horizon
+    survival; its mass is Z_T(o) by Chapman-Kolmogorov.  The limit puts h in
+    place of Z_{T-t}.  Needs 0 < t < T."""
+    source = np.zeros(op.m)
+    source[0] = 1.0 / (op.weights[0] * op.dr)
+    density = apply_semigroup(op, t, source) * op.weights
+    cdfs = []
+    for tail in (finite_horizon_survival(op, T - t), survival_harmonic(op)):
+        mass = np.concatenate([[0.0], np.cumsum(density * tail)])
+        cdfs.append(mass / mass[-1])
+    return tuple(cdfs)

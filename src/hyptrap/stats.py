@@ -1,5 +1,5 @@
 """Statistical helpers of the estimators: effective sample size, log-mean-exp
-and the weighted two-sample Kolmogorov-Smirnov test."""
+and the weighted one-sample Kolmogorov-Smirnov test."""
 
 from __future__ import annotations
 
@@ -51,15 +51,19 @@ def kolmogorov_tail(x):
     return float(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k * k * x * x)))
 
 
-def weighted_ks_2samp(x1, w1, x2, w2):
-    """Two-sample KS with importance weights.
+def weighted_ks_1samp(values, weights, cdf):
+    """One-sample KS with importance weights against the continuous CDF `cdf`
+    (a callable on arrays): (D, n, p).
 
-    The statistic is the sup distance between the weighted empirical CDFs;
-    the p-value uses the Kolmogorov asymptotic with effective sample sizes.
-    """
-    grid = np.concatenate([x1, x2])
-    d = float(np.max(np.abs(weighted_cdf(x1, w1, grid) - weighted_cdf(x2, w2, grid))))
-    n1 = effective_sample_size(w1)
-    n2 = effective_sample_size(w2)
-    en = np.sqrt(n1 * n2 / (n1 + n2))
-    return d, kolmogorov_tail((en + 0.12 + 0.11 / en) * d)
+    D is the sup distance between the weighted empirical CDF and `cdf`, taken
+    on both sides of each jump, n the Kish effective sample size, and p the
+    Kolmogorov tail at (sqrt(n) + 0.12 + 0.11 / sqrt(n)) D.  With unit weights,
+    D is the plain one-sample statistic."""
+    order = np.argsort(values)
+    w = np.asarray(weights, dtype=float)[order]
+    cum = np.cumsum(w) / np.sum(w)
+    F = cdf(np.asarray(values, dtype=float)[order])
+    d = float(max(np.max(cum - F), np.max(F - np.concatenate([[0.0], cum[:-1]]))))
+    n = effective_sample_size(w)
+    en = np.sqrt(n)
+    return d, n, kolmogorov_tail((en + 0.12 + 0.11 / en) * d)

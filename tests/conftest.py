@@ -3,8 +3,10 @@ Poisson goodness-of-fit statistic of the PPP-law tests, and the reference
 objects the tests compare the program with: the Minkowski form of the
 hyperboloid model, the scalar geodesic distance and its pairwise table over
 ambient coordinates, the polar start o, a constant potential, an
-independent radial oracle, and the walk step and polar distance table
-written with numpy's row reductions.
+independent radial oracle, the walk step and polar distance table
+written with numpy's row reductions, and a second simulation of the
+Q-process: the Doob walk with its drift and the weighted two-sample KS test
+that compares it with the tilted walk.
 
 `radial_oracle_final` is an independent 1-D Euler-Maruyama discretization of the
 radial SDE dr = dB + ((d-1)/2) coth(r) dt, used only to cross-check the full
@@ -15,7 +17,9 @@ import numpy as np
 from scipy import stats
 
 from hyptrap.diffusion import _draws, on_axis
+from hyptrap.feynman_kac import _chunk_rngs, _chunk_sizes
 from hyptrap.ppp import PotentialField
+from hyptrap.stats import effective_sample_size, kolmogorov_tail, weighted_cdf
 
 VERDICTS = []
 
@@ -152,3 +156,57 @@ def polar_distances_reference(r, u, ry, uy):
     ry = np.asarray(ry)[..., None, :]
     coshd = np.cosh(r - ry) + np.sinh(r) * np.sinh(ry) * half_chord
     return np.arccosh(np.maximum(1.0, coshd))
+
+
+def log_derivative_interpolant(grid, phi):
+    """(log phi)'(r) from the difference quotients of log phi at the midpoints
+    between grid points, linear in between: the operator's face gradient.
+
+    The returned callable raises on queries beyond the grid (no silent
+    extrapolation); queries outside the midpoints clamp to the nearest.
+    """
+    if np.any(np.asarray(phi) <= 0):
+        raise ValueError("phi must be strictly positive on its grid")
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    slope = np.diff(np.log(np.asarray(phi, dtype=float))) / np.diff(grid)
+    r_hi = float(grid[-1])
+
+    def dlogphi(r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r > r_hi + 1e-12):
+            raise ValueError(
+                f"radius {float(np.max(r)):.4f} outside the eigenfunction grid "
+                f"(max {r_hi:.4f})"
+            )
+        return np.interp(r, mid, slope)
+
+    return dlogphi
+
+
+def doob_final_radii(x0, grid, phi, T, h, N, seed):
+    """Terminal radii of N paths from the one start x0 = (r, u) of the
+    Doob-transformed diffusion (1/2)Lap + (log phi)' d_r, with `phi` a
+    positive radial eigenfunction tabulated on `grid`: the geodesic walk with
+    the drift added Euler-style to each draw, on the program's 16 streams of
+    `seed` (no potential weighting)."""
+    drift = log_derivative_interpolant(grid, phi)
+    sizes = _chunk_sizes(N)
+    streams = list(zip(_chunk_rngs(seed, len(sizes)), sizes))
+    r, u = np.repeat(x0[0], N), np.repeat(x0[1], N, axis=0)
+    for _ in range(int(round(T / h))):
+        r, u = step_polar_reference(r, u, h, streams, drift_fn=drift)
+    return r
+
+
+def weighted_ks_2samp(x1, w1, x2, w2):
+    """Two-sample KS with importance weights.
+
+    The statistic is the sup distance between the weighted empirical CDFs;
+    the p-value uses the Kolmogorov asymptotic with effective sample sizes.
+    """
+    grid = np.concatenate([x1, x2])
+    d = float(np.max(np.abs(weighted_cdf(x1, w1, grid) - weighted_cdf(x2, w2, grid))))
+    n1 = effective_sample_size(w1)
+    n2 = effective_sample_size(w2)
+    en = np.sqrt(n1 * n2 / (n1 + n2))
+    return d, kolmogorov_tail((en + 0.12 + 0.11 / en) * d)

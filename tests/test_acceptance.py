@@ -30,7 +30,11 @@ whole-space objects instead:
    which rises with r as escape from the trap gets easier; the box phi
    falls towards the wall instead.
 5. The weighted time-1 marginal at T=40 is compared with the Doob
-   transform by h, the T -> infinity limit of the tilted path measure.
+   transform by h, the T -> infinity limit of the tilted path measure, as a
+   second simulation: the Doob walk of tests/conftest.py, the geodesic walk
+   with the drift (log h)' added Euler-style, on seed 8.  full-pipeline
+   gates the same marginal against its exact law instead
+   (`spectral.q_marginal_law`).
 
 Criterion 7 keeps the box eigenpair: it checks that operator's own Born
 series and contour projector.  tests/test_mechanism.py checks the same
@@ -44,7 +48,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from hyptrap import cli, diffusion, feynman_kac, fock, spectral, stats
+from hyptrap import cli, diffusion, feynman_kac, fock, spectral
 from hyptrap.ppp import (
     Configuration,
     FactorPotential,
@@ -158,10 +162,10 @@ def test_criterion_4_eigenfunction_ratio(oracle, origin_walk):
 def test_criterion_5_q_process_mechanism(oracle, origin_walk):
     op, _, h_surv = oracle
     qm = feynman_kac.q_marginal(origin_walk[0], 1.0, [10.0, 20.0, 40.0])
-    doob_r = feynman_kac.doob_final_radii(conftest.origin(2), op.grid, h_surv,
-                                          1.0, 0.01, 10_000, 8)
-    _, p = stats.weighted_ks_2samp(qm.radii, qm.weights_by_T[40.0],
-                                   doob_r, np.ones(len(doob_r)))
+    doob_r = conftest.doob_final_radii(conftest.origin(2), op.grid, h_surv,
+                                       1.0, 0.01, 10_000, 8)
+    _, p = conftest.weighted_ks_2samp(qm.radii, qm.weights_by_T[40.0],
+                                      doob_r, np.ones(len(doob_r)))
     ok = p > 0.01
     verdict(5, "Q-process mechanism", ok, f"KS p={p:.4g} vs Doob of h (need > 0.01)")
 
@@ -182,8 +186,8 @@ def test_criterion_6_constant_potential_identities():
     r0 = np.zeros(10_000)
     u0 = np.tile([1.0, 0.0], (10_000, 1))
     free = diffusion.ensemble_walk(r0, u0, 100, 0.01, rng)
-    _, p = stats.weighted_ks_2samp(qm.radii, qm.weights_by_T[8.0],
-                                   free.r, np.ones(10_000))
+    _, p = conftest.weighted_ks_2samp(qm.radii, qm.weights_by_T[8.0],
+                                      free.r, np.ones(10_000))
     ok = z_exact and rho_exact and p > 0.01
     verdict(6, "constant-potential identities", ok,
             f"Z exact={z_exact}, rho exact={rho_exact}, free-marginal KS p={p:.4g}")

@@ -114,9 +114,18 @@ def column_draw(streams, d, h):
     return np.ascontiguousarray(xi.T)
 
 
+def drifted_draw(xi, r, U, h, drift):
+    """The per-path (d, N) draw of a step with a radial drift: the shared
+    (d, n) draw of every block plus h drift(r) u, as `step_polar_reference`
+    forms it for the tests' Doob walk."""
+    return np.tile(xi, U.shape[1] // xi.shape[1]) + (h * drift(r)) * U
+
+
 class TestStepKernel:
     """`step_polar` against the step written with numpy's row reductions,
-    both fed the same draws."""
+    both fed the same draws.  With a drift, every path has its own draw, and
+    the reference's drift step, which the tests' Doob walk takes, is bitwise
+    the kernel's step on that draw."""
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     @pytest.mark.parametrize("blocks", [1, 5])
@@ -127,7 +136,10 @@ class TestStepKernel:
         want = (r0, u0)
         streams, ref_streams = kernel_streams(seeds), kernel_streams(seeds)
         for _ in range(3):
-            r, U = step_polar(r, U, 0.01, column_draw(streams, d, 0.01), drift_fn=drift)
+            xi = column_draw(streams, d, 0.01)
+            if drift is not None:
+                xi = drifted_draw(xi, r, U, 0.01, drift)
+            r, U = step_polar(r, U, 0.01, xi)
             want = step_polar_reference(*want, 0.01, ref_streams, drift_fn=drift, blocks=blocks)
             assert np.array_equal(r, want[0]) and np.array_equal(U.T, want[1])
         if drift is None:
@@ -141,7 +153,8 @@ class TestStepKernel:
     def test_chunk_geometry_and_held_rows_are_bitwise(self, d, blocks, drift):
         # three steps on one chunk's draws and geometry, each written into its
         # row of held (3, N) and (d, 3, N) buffers as the walk does, equal the
-        # plain calls bit for bit; the zero draws hit both 1e-300 guards
+        # plain calls bit for bit; the zero draws hit both 1e-300 guards.  A
+        # drifted draw differs per path, so the step computes its geometry
         r0, u0, seeds = kernel_inputs(d, blocks, 50 + d)
         xi, sinc, cosh_n = diffusion._column_draws(kernel_streams(seeds), 3, d, 0.01)
         r_held, U_held = np.empty((3, len(r0))), np.empty((d, 3, len(r0)))
@@ -149,10 +162,12 @@ class TestStepKernel:
         want = r, U
         for j in range(3):
             out = (r_held[j], U_held[:, j])
-            r, U = step_polar(r, U, 0.01, xi[j], drift_fn=drift,
-                              geometry=(sinc[j], cosh_n[j]), out=out)
+            draw, geometry = xi[j], (sinc[j], cosh_n[j])
+            if drift is not None:
+                draw, geometry = drifted_draw(draw, r, U, 0.01, drift), None
+            r, U = step_polar(r, U, 0.01, draw, geometry=geometry, out=out)
             assert r is out[0] and U is out[1]
-            want = step_polar(*want, 0.01, xi[j], drift_fn=drift)
+            want = step_polar(*want, 0.01, draw)
             assert np.array_equal(r, want[0]) and np.array_equal(U, want[1])
 
     @pytest.mark.parametrize("blocks", [1, 5])
@@ -250,14 +265,6 @@ class TestSimulatePath:
         se = res.r.std(ddof=1) / np.sqrt(100) / 10.0
         assert abs(drift - 0.5) < 3 * se
 
-    def test_drift_fn_applied(self):
-        # strong inward drift confines the paths
-        rng = np.random.default_rng(11)
-        r, u = origin_state(500, 2)
-        res = ensemble_walk(r, u, 2000, 0.01, rng,
-                            drift_fn=lambda rr: 0.5 - 2.0 * rr)
-        assert res.r.mean() < 2.0
-
 
 def reference_potential(spec, config):
     """The capped profile sum over the traps with r_y < max(r) + r0, on 2-D arrays."""
@@ -314,15 +321,6 @@ class TestEnsembleWalk:
         assert np.array_equal(res.integrals, integrals)
         assert all(np.array_equal(a, b) for a, b in zip(res.snapshots[30], snap))
         assert all(np.array_equal(a, b) for a, b in zip(res.snapshots[0], (r0, u0, 0 * r0)))
-        # with a drift and no potential
-        drift = lambda rr: 0.5 - rr  # noqa: E731
-        res = ensemble_walk(r0, u0, 20, h, np.random.default_rng(23), drift_fn=drift)
-        rng = np.random.default_rng(23)
-        r, u = r0, u0
-        for _ in range(20):
-            r, u = step_polar_reference(r, u, h, rng, drift_fn=drift)
-        assert np.array_equal(res.r, r) and np.array_equal(res.u, u)
-        assert np.array_equal(res.integrals, np.zeros(50))
 
     def test_held_steps_per_potential_call_are_bitwise(self, monkeypatch):
         # one potential call per step (DRAW_BUFFER 1), for all 150 steps (the
@@ -339,7 +337,6 @@ class TestEnsembleWalk:
         pot = FactorPotential(PotentialSpec(1.0, 1.0, 10.0), config)
         r0, u0 = on_axis(d, np.repeat([0.0, 1.5], 30))
         snaps = [0, 4, 50, 136, n_steps]
-        drift = lambda rr: 0.5 - rr  # noqa: E731
 
         def walks(buffer):
             monkeypatch.setattr(diffusion, "DRAW_BUFFER", buffer)
@@ -354,24 +351,21 @@ class TestEnsembleWalk:
                                     for i in range(3)]
             held = ensemble_walk(r0, u0, n_steps, h, streams(25), potential=pot,
                                  snapshot_steps=snaps, blocks=2)
-            drifted = ensemble_walk(r0, u0, n_steps, h, streams(28), snapshot_steps=snaps,
-                                    drift_fn=drift, blocks=2)
-            return len(calls), held, drifted
+            return len(calls), held
 
         # the depth is DRAW_BUFFER // N held steps of the N = 60 paths
         assert DRAW_BUFFER // 60 == 273
         runs = [walks(1), walks(DRAW_BUFFER), walks(136 * 60), walks(4 * 60)]
-        assert [calls for calls, _, _ in runs] == [1 + n_steps, 1 + 1, 1 + 2, 1 + 38]
-        _, want, want_drifted = runs[0]
+        assert [calls for calls, _ in runs] == [1 + n_steps, 1 + 1, 1 + 2, 1 + 38]
+        _, want = runs[0]
         assert np.any(want.integrals > 0.0)
-        for _, got, got_drifted in runs[1:]:
-            for a, b in ((got, want), (got_drifted, want_drifted)):
-                assert np.array_equal(a.r, b.r) and np.array_equal(a.u, b.u)
-                assert np.array_equal(a.integrals, b.integrals)
-                assert sorted(a.snapshots) == snaps
-                for k in snaps:
-                    assert all(np.array_equal(x, y)
-                               for x, y in zip(a.snapshots[k], b.snapshots[k]))
+        for _, got in runs[1:]:
+            assert np.array_equal(got.r, want.r) and np.array_equal(got.u, want.u)
+            assert np.array_equal(got.integrals, want.integrals)
+            assert sorted(got.snapshots) == snaps
+            for k in snaps:
+                assert all(np.array_equal(x, y)
+                           for x, y in zip(got.snapshots[k], want.snapshots[k]))
 
 
     @pytest.mark.parametrize("blocks", [1, 2])

@@ -7,7 +7,9 @@ the survival harmonic h solving (-1/2 Laplacian + V) h = 0 with h -> 1 at
 infinity: h(r) is the limiting survival weight from r, the eigenfunction
 ratios converge to h(r)/h(0), and the Doob transform by h generates the
 T -> infinity limit of the tilted path measure.  These tests verify that
-chain quantitatively; the finite-box eigensolver with a Dirichlet wall at
+chain quantitatively, the last link both against a second simulation (the
+Doob walk of tests/conftest.py) and against the exact law of the marginal at
+the walk's own horizon (`spectral.q_marginal_law`); the finite-box eigensolver with a Dirichlet wall at
 R_max measures a different (truncated) problem whose ground energy stays
 near the free bottom (d-1)^2/8 + pi^2/(2 R_max^2) no matter how weak the
 trap is.
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
 
-from conftest import origin
+from conftest import doob_final_radii, origin, weighted_ks_2samp
 from hyptrap import cli, feynman_kac, spectral, stats
 from hyptrap.diffusion import on_axis
 from hyptrap.ppp import Configuration, FactorPotential, PotentialSpec
@@ -96,11 +98,34 @@ class TestQProcessIsDoobOfSurvivalHarmonic:
     def test_time_one_marginal(self, origin_walk):
         op, h = survival_oracle()
         qm = feynman_kac.q_marginal(origin_walk[0], 1.0, T_GRID)
-        doob_r = feynman_kac.doob_final_radii(origin(D), op.grid, h, 1.0, H,
-                                              4000, 8)
-        _, p = stats.weighted_ks_2samp(qm.radii, qm.weights_by_T[40.0],
-                                       doob_r, np.ones(len(doob_r)))
+        doob_r = doob_final_radii(origin(D), op.grid, h, 1.0, H, 4000, 8)
+        _, p = weighted_ks_2samp(qm.radii, qm.weights_by_T[40.0], doob_r, np.ones(len(doob_r)))
         assert p > 0.01
+
+    def test_time_one_marginal_matches_exact_law(self, origin_walk):
+        op, _ = survival_oracle()
+        qm = feynman_kac.q_marginal(origin_walk[0], 1.0, T_GRID)
+        law, _ = spectral.q_marginal_law(op, 1.0, 40.0)
+        faces = op.dr * np.arange(op.m + 1)
+        _, _, p = stats.weighted_ks_1samp(qm.radii, qm.weights_by_T[40.0],
+                                          lambda r: np.interp(r, faces, law))
+        assert p > cli.KS_THRESHOLD
+
+    def test_exact_law_has_power(self):
+        # planted-pipeline's walk on seed 0 (1000 paths, T = 5): its weighted
+        # marginal at t = 1 passes the gate against the law at t = 1, and the
+        # marginals a tenth of a time unit early or a quarter late fail it
+        cfg = {"d": D, "h": H, "n_paths": 1000, "seed": 0, "workers": 1}
+        base, _ = cli.walk_origin(cfg, planted_trap(), 5.0, snapshot_times=[0.9, 1.0, 1.25, 5.0])
+        op, _ = survival_oracle()
+        law, _ = spectral.q_marginal_law(op, 1.0, 5.0)
+        faces = op.dr * np.arange(op.m + 1)
+        weights = np.exp(-base.snapshot(5.0)[2])
+        p = {t: stats.weighted_ks_1samp(base.snapshot(t)[0], weights,
+                                        lambda r: np.interp(r, faces, law))[2]
+             for t in (0.9, 1.0, 1.25)}
+        assert p[1.0] > cli.KS_THRESHOLD
+        assert p[0.9] < 1e-4 and p[1.25] < 1e-4
 
     def test_marginal_stabilizes_in_horizon(self):
         ens, = feynman_kac.simulate_tilted_ensemble(origin(D), planted_trap(), 40.0, H,

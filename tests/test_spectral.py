@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import log_derivative_interpolant
 from hyptrap import spectral
 from hyptrap.ppp import PotentialSpec
 from hyptrap.spectral import (
@@ -17,7 +18,6 @@ from hyptrap.spectral import (
     build_radial_operator,
     contour_projector,
     direct_resolvent_solve,
-    log_derivative_interpolant,
     solve_ground_state,
     survival_harmonic,
 )
@@ -354,6 +354,62 @@ class TestSurvivalHarmonic:
             digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                        capture_output=True, text=True).stdout)
         assert len(digests) == 1
+
+
+def free_h3_radial_cdf(t, r):
+    """P(d(o, B_t) <= r) for Brownian motion on H^3 with generator Lap / 2,
+    whose radial density is 4 pi r sinh r (2 pi t)^{-3/2} e^{-t/2 - r^2/(2t)}:
+    r sinh r e^{-r^2/(2t)} is (r/2)(e^{r} - e^{-r}) e^{-r^2/(2t)}, and each
+    half is a shifted Gaussian moment, in closed form with erf."""
+    from scipy.special import erf
+
+    def primitive(s, sign):
+        # e^{-t/2} int (s + sign t) e^{-s^2/(2t)} ds, s = r - sign t
+        return -t * np.exp(-s * s / (2 * t)) + sign * t * np.sqrt(np.pi * t / 2) * erf(
+            s / np.sqrt(2 * t))
+
+    plus = primitive(r - t, 1.0) - primitive(-t, 1.0)
+    minus = primitive(r + t, -1.0) - primitive(t, -1.0)
+    return 2 * np.pi * (2 * np.pi * t) ** -1.5 * (plus - minus)
+
+
+class TestQMarginalLaw:
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+    def test_free_h3_closed_form(self, t):
+        # with V = 0, h = 1 = Z_{T-t}: the law is the heat kernel's radial law,
+        # whatever T, and equals its Doob limit.  Halving dr bounds the error:
+        # if it falls at least linearly in dr, err(dr) <= 2 sup|F_dr - F_{dr/2}|
+        # (Richardson); it falls about 3.5-fold per halving here
+        laws, errors = [], []
+        for m in (3000, 6000):
+            op = build_radial_operator(3, 30.0, m, zero_potential)
+            law, limit = spectral.q_marginal_law(op, t, t + 2.0)
+            assert np.max(np.abs(law - limit)) <= 1e-12
+            faces = op.dr * np.arange(m + 1)
+            errors.append(np.max(np.abs(law - free_h3_radial_cdf(t, faces))))
+            laws.append(law)
+        assert errors[0] <= 2.0 * np.max(np.abs(laws[0] - laws[1][::2]))
+        assert errors[1] < errors[0] / 2.0
+        assert laws[0][0] == 0.0 and laws[0][-1] == 1.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mass_is_the_survival_and_the_limit_is_doob(self, d):
+        # Chapman-Kolmogorov: the tilted law's mass, sum_r [e^{-tH} delta_o]
+        # Z_{T-t} sinh^{d-1} dr, is Z_T(o); the normalized CDF is q_marginal_law's,
+        # and it nears its Doob limit as T grows
+        op = build_radial_operator(d, 30.0, 3000, trap_potential)
+        t, T = 1.0, 5.0
+        source = np.zeros(op.m)
+        source[0] = 1.0 / (op.weights[0] * op.dr)
+        density = (spectral.apply_semigroup(op, t, source)
+                   * spectral.finite_horizon_survival(op, T - t) * op.weights * op.dr)
+        assert abs(density.sum() - spectral.finite_horizon_survival(op, T)[0]) <= 1e-11
+        law, limit = spectral.q_marginal_law(op, t, T)
+        np.testing.assert_allclose(law[1:], np.cumsum(density) / density.sum(),
+                                   rtol=0, atol=1e-14)
+        far, far_limit = spectral.q_marginal_law(op, t, 20.0)
+        assert np.max(np.abs(far_limit - limit)) <= 1e-14
+        assert np.max(np.abs(far - far_limit)) < np.max(np.abs(law - limit)) / 10
 
 
 class TestLogDerivativeInterpolant:

@@ -1,16 +1,16 @@
-"""Weighted two-sample tests, log-mean-exp, and the Poisson goodness-of-fit
-statistic of the PPP-law tests."""
+"""Weighted Kolmogorov-Smirnov tests, log-mean-exp, and the Poisson
+goodness-of-fit statistic of the PPP-law tests."""
 
 import numpy as np
 import pytest
 
-from conftest import chisquare_poisson
+from conftest import chisquare_poisson, weighted_ks_2samp
 from hyptrap.stats import (
     effective_sample_size,
     kolmogorov_tail,
     log_mean_exp,
     weighted_cdf,
-    weighted_ks_2samp,
+    weighted_ks_1samp,
 )
 
 
@@ -86,6 +86,42 @@ class TestWeightedKs:
         grid = np.r_[0.0, np.linspace(1e-3, 5.0, 5001), np.geomspace(1e-3, 5.0, 2001)]
         got = np.array([kolmogorov_tail(x) for x in grid])
         np.testing.assert_allclose(got, kolmogorov(grid), rtol=2e-14, atol=0.0)
+
+
+class TestWeightedKs1samp:
+    def test_unit_weights_are_the_plain_statistic(self):
+        # scipy as the reference: with unit weights D is kstest's statistic,
+        # n the sample size and p the Kolmogorov tail at Stephens' argument
+        from scipy import stats
+
+        rng = np.random.default_rng(5)
+        for n in (10, 400, 3000):
+            x = rng.standard_normal(n) + 0.05
+            d, ess, p = weighted_ks_1samp(x, np.ones(n), stats.norm.cdf)
+            assert d == stats.kstest(x, stats.norm.cdf).statistic
+            assert ess == n
+            assert p == kolmogorov_tail((np.sqrt(n) + 0.12 + 0.11 / np.sqrt(n)) * d)
+
+    def test_integer_weights_are_the_repeated_sample(self):
+        # a weight k on a value is that value k times: the weighted empirical
+        # CDF is the repeated sample's, ties included, so D is kstest's on it;
+        # n is the Kish size (sum w)^2 / sum w^2, not the repeated count
+        from scipy import stats
+
+        rng = np.random.default_rng(6)
+        x = np.round(rng.exponential(size=300), 1)
+        k = rng.integers(1, 5, size=300)
+        d, ess, _ = weighted_ks_1samp(x, k, stats.expon.cdf)
+        assert d == pytest.approx(stats.kstest(np.repeat(x, k), stats.expon.cdf).statistic,
+                                  rel=1e-14, abs=1e-15)
+        assert ess == pytest.approx(k.sum() ** 2 / np.sum(k**2), rel=1e-14)
+
+    def test_detects_shift(self):
+        from scipy import stats
+
+        x = np.random.default_rng(7).standard_normal(2000) + 0.2
+        _, _, p = weighted_ks_1samp(x, np.ones(2000), stats.norm.cdf)
+        assert p < 1e-6
 
 
 class TestChisquarePoisson:
