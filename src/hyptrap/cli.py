@@ -207,6 +207,19 @@ def write_manifest(out_dir, command, cfg, results):
     write_json(Path(out_dir) / "manifest.json", manifest)
 
 
+def gate(value, passed, **fields):
+    """One gate's record: its value, its bound (or lo and hi), any detail, and its verdict."""
+    return {"value": value, **fields, "pass": bool(passed)}
+
+
+def write_gates(out, gates):
+    """Write every gate's record to checks.json; fail (exit 1) naming each failed gate."""
+    write_json(out / "checks.json", gates)
+    failed = [name for name, record in gates.items() if not record["pass"]]
+    if failed:
+        raise RuntimeError(f"gates failed: {failed}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -358,11 +371,11 @@ def cmd_fock_check(cfg, out):
     reports = [fock.isometry_check(name, cfg["d"], v, seed=cfg["seed"])
                for v in cfg["fock_volumes"] for name in fock.FUNCTIONALS]
     write_json(out / "fock.json", reports)
-    failed = [f"{r['functional']} v={r['v']:g}" for r in reports
-              if not abs(r["lhs"] - r["rhs"]) <= FOCK_SIGMA * r["lhs_stderr"] + r["tail_bound"]]
-    if failed:
-        raise RuntimeError(f"Fock isometry off by more than {FOCK_SIGMA:g} se + tail_bound: "
-                           f"{failed}")
+    gates = {}
+    for r in reports:
+        off, bound = abs(r["lhs"] - r["rhs"]), FOCK_SIGMA * r["lhs_stderr"] + r["tail_bound"]
+        gates[f"{r['functional']} v={r['v']:g}"] = gate(off, off <= bound, bound=bound)
+    write_gates(out, gates)
     return {"max_rel_error": max(r["rel_error"] for r in reports)}
 
 
@@ -405,13 +418,13 @@ def cmd_full_pipeline(cfg, out):
 
     def born_error(op, norm_bound):
         """The Born sum's error relative to the direct solve, and its bound: the
-        tail, plus u ||H|| / |Im z| for each of the 62 solves (orders 0..60 and
-        the direct one), as |Im z| <= dist(z, spectrum) for a self-adjoint H."""
+        tail, plus u ||H|| / |Im z| for each of the N_BORN + 2 solves (the Born
+        orders and the direct one), as |Im z| <= dist(z, spectrum) for a self-adjoint H."""
         born, tail = spectral.born_resolvent_apply(op, z, w)
         direct = spectral.direct_resolvent_solve(op, z, w)
         norm = op.weighted_norm(direct)
         return (float(op.weighted_norm(born - direct) / norm), float(tail),
-                float(tail / norm) + 62 * u * norm_bound / 0.15)
+                float(tail / norm) + (spectral.N_BORN + 2) * u * norm_bound / 0.15)
 
     rel, tail, born_bound = born_error(op, ground.norm_bound)
     # the series for 100 V either diverges or, where 100 V is still small enough,
@@ -422,9 +435,9 @@ def cmd_full_pipeline(cfg, out):
     try:
         amp_rel, _, amp_bound = born_error(
             amplified, ground.norm_bound + 99.0 * float(np.max(op.potential)))
-        diverged = 0
     except spectral.BornDivergenceError:
-        diverged = 1
+        amp_rel = amp_bound = None  # a diverged series has no error to bound
+    diverged = int(amp_rel is None)
     write_csv(out / "born.csv", "z_re,z_im,rel_error,tail_bound,amplified_diverges",
               [(float(np.real(z)), float(np.imag(z)), rel, float(tail), diverged)])
     radius = ground.gap / 2.0
@@ -441,15 +454,13 @@ def cmd_full_pipeline(cfg, out):
     # a unit vector e from phi has its Rayleigh quotient within ||H|| e^2 of rho,
     # and the quotient's m-term sum, added pairwise, rounds by about log2(m) u ||H||
     rayleigh_bound = ground.norm_bound * (vec_bound**2 + op.m.bit_length() * u)
-    checks = {"born_matches_direct": rel <= born_bound,
-              "amplified_born_sound": bool(diverged or amp_rel <= amp_bound),
-              "contour_matches_ground": vec_error <= vec_bound and rayleigh_error <= rayleigh_bound}
-    results = {"checks": checks, "oracle_gap": ground.gap, "contour_separation": radius,
-               "born_tail_bound": tail, "born_rel_error": {"value": rel, "bound": born_bound},
-               "contour_vec_error": {"value": vec_error, "bound": vec_bound},
-               "contour_rayleigh_error": {"value": rayleigh_error, "bound": rayleigh_bound}}
-    if not diverged:
-        results["amplified_born_rel_error"] = {"value": amp_rel, "bound": amp_bound}
+    checks = {"born_matches_direct": gate(rel, rel <= born_bound, bound=born_bound),
+              "amplified_born_sound": gate(amp_rel, diverged or amp_rel <= amp_bound,
+                                           bound=amp_bound),
+              "contour_matches_ground": gate(
+                  [vec_error, rayleigh_error],
+                  vec_error <= vec_bound and rayleigh_error <= rayleigh_bound,
+                  bound=[vec_bound, rayleigh_bound])}
 
     # one walk from o and the probes serves the rate, the ratios and the
     # Q-marginal
@@ -458,25 +469,24 @@ def cmd_full_pipeline(cfg, out):
                                snapshot_times=[*cfg["t_grid"], cfg["marginal_time"]])
     est = feynman_kac.estimate_rho(base, cfg["t_grid"])
     _write_rho(out, est)
-    checks["rho_near_zero"] = bool(abs(est.rho_hat) <= RHO_TOLERANCE)
-    checks["rho_in_bound"] = bool(
-        -3.0 * est.rho_stderr - 1e-9 <= est.rho_hat
-        <= potential.v_max + 3.0 * est.rho_stderr)
+    checks["rho_near_zero"] = gate(abs(est.rho_hat), abs(est.rho_hat) <= RHO_TOLERANCE,
+                                   bound=RHO_TOLERANCE)
+    lo, hi = -3.0 * est.rho_stderr - 1e-9, potential.v_max + 3.0 * est.rho_stderr
+    checks["rho_in_bound"] = gate(est.rho_hat, lo <= est.rho_hat <= hi, lo=lo, hi=hi)
 
     # eigenfunction ratios against the finite-horizon survival Z_T at the
     # walk's own horizon, linear between cell centers with Z_T(0) the first
     # cell's; Z_T(r)/Z_T(0) tends to h(r)/h(0) as T grows
-    table = feynman_kac.estimate_phi_ratio(base, probes)
     z_T = spectral.finite_horizon_survival(op, T)
-    rows = []
-    ok = True
-    for r, ratio, se in table:
-        target = float(np.interp(r, op.grid, z_T) / z_T[0])
-        rows.append((r, ratio, se, target))
-        if abs(ratio - target) > RATIO_SIGMA * max(se, 1e-6):
-            ok = False
+    rows = [(r, ratio, se, float(np.interp(r, op.grid, z_T) / z_T[0]))
+            for r, ratio, se in feynman_kac.estimate_phi_ratio(base, probes)]
     write_csv(out / "phi_ratio.csv", "r,ratio,stderr,survival_ratio", rows)
-    checks["phi_matches_survival"] = bool(ok)
+    worst, probe = max(((abs(ratio - target) / max(se, 1e-6), r)
+                        for r, ratio, se, target in rows), default=(0.0, None))
+    checks["phi_matches_survival"] = gate(
+        worst, not any(abs(ratio - target) > RATIO_SIGMA * max(se, 1e-6)
+                       for _, ratio, se, target in rows),
+        bound=RATIO_SIGMA, probe=probe)
 
     # the weighted Q-marginal at T against its exact law at the same t and T;
     # the law's distance from its Doob limit is how far T is from the Q-process
@@ -489,16 +499,12 @@ def cmd_full_pipeline(cfg, out):
                                                lambda r: np.interp(r, faces, law_T))
     write_csv(out / "doob_compare.csv", "t,T,ks_statistic,p_value,ess,doob_distance",
               [(t, T, dstat, pval, ess, float(np.max(np.abs(law_T - law_doob))))])
-    checks["q_matches_doob"] = bool(pval > KS_THRESHOLD)
-    results["q_ks_p_value"] = {"value": pval, "bound": KS_THRESHOLD}
-    checks["q_stabilized"] = bool(
-        not qm.sup_distances or qm.sup_distances[-1] < 4.0 / np.sqrt(cfg["n_paths"]))
+    checks["q_matches_doob"] = gate(pval, pval > KS_THRESHOLD, bound=KS_THRESHOLD)
+    last, bound = qm.sup_distances[-1], 4.0 / np.sqrt(cfg["n_paths"])
+    checks["q_stabilized"] = gate(last, last < bound, bound=bound)
 
-    write_json(out / "checks.json", checks)
-    if not all(checks.values()):
-        failed = [k for k, v in checks.items() if not v]
-        raise RuntimeError(f"pipeline cross-checks failed: {failed}")
-    return results
+    write_gates(out, checks)
+    return {"oracle_gap": ground.gap, "contour_separation": radius, "born_tail_bound": tail}
 
 
 HANDLERS = {

@@ -214,12 +214,11 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
     walk's draws within DRAW_BUFFER doubles (one step at a time for a wide
     ensemble), and never past the last step, so a generator is left where
     per-step draws would leave it; the draws' geometry is computed once on
-    the whole chunk.  The states of up to depth = DRAW_BUFFER // N steps
+    the whole chunk.  The states of depth = max(2, DRAW_BUFFER // N) steps
     (16 at 1,000 paths, 3 at 5,000) are held in buffers allocated once,
     (depth, N) radii and (d, depth, N) directions, and each step writes its
-    state straight into its row; at depth 1 that row would be the one the
-    step reads, so there the step writes new arrays, which stand in for the
-    buffers.  `evaluate_polar` is called once per filled buffer (and once
+    state straight into its row, never the one it reads, as there are at
+    least two.  `evaluate_polar` is called once per filled buffer (and once
     for a last, partial one) on all of its steps, as (depth N, d)
     directions; the trapezoid sums and snapshots then run step by step over
     its rows.  The step and the potential are
@@ -238,9 +237,8 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
     if sum(rows for _, rows in draws) * blocks != N:
         raise ValueError("the streams' rows must add up to one block of paths")
     chunk = max(1, DRAW_BUFFER // (n * d))
-    depth = max(1, DRAW_BUFFER // N)
-    if depth > 1:
-        r_held, U_held = np.empty((depth, N)), np.empty((d, depth, N))
+    depth = max(2, DRAW_BUFFER // N)
+    r_held, U_held = np.empty((depth, N)), np.empty((d, depth, N))
     integrals = np.zeros(N)
     snapshots = {}
     if potential is not None:
@@ -252,13 +250,8 @@ def ensemble_walk(r0, u0, n_steps, h, rng, potential=None, snapshot_steps=(),
         if j == 0:
             xi, sinc, cosh_n = _column_draws(draws, min(chunk, n_steps + 1 - k), d, h)
         i = (k - 1) % depth
-        # each step writes its state into its held row; at depth 1 that row
-        # would be the one the step reads, so there the step writes new
-        # arrays, and they are the held row
-        out = (r_held[i], U_held[:, i]) if depth > 1 else None
-        r, U = step_polar(r, U, h, xi[j], geometry=(sinc[j], cosh_n[j]), out=out)
-        if out is None:
-            r_held, U_held = r[None], U[:, None]
+        r, U = step_polar(r, U, h, xi[j], geometry=(sinc[j], cosh_n[j]),
+                          out=(r_held[i], U_held[:, i]))
         if i + 1 < depth and k < n_steps:
             continue
         # one potential call for the held steps k - i .. k, then their

@@ -17,6 +17,7 @@ import numpy as np
 
 
 N_QUAD = 64  # trapezoid nodes on the contour projector's circle
+N_BORN = 60  # Born orders past the free resolvent
 
 
 class BornDivergenceError(RuntimeError):
@@ -221,7 +222,7 @@ def direct_resolvent_solve(op: RadialOperator, z, w_vec):
     return _resolvent(op, complex(z))(w_vec)
 
 
-def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=60):
+def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=N_BORN):
     """Partial Born sum (H-z)^{-1} w = sum_k R_0 (-V R_0)^k w with tail report.
 
     Raises BornDivergenceError when the term norms stop decreasing for five
@@ -257,9 +258,9 @@ def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=60):
     return total, tail
 
 
-def contour_projector(spec: RadialSpectrum, center, radius, n_quad=N_QUAD):
+def contour_projector(spec: RadialSpectrum, center, radius):
     """Riesz projector of spec's operator applied to the constant vector, by
-    circular trapezoid.
+    the trapezoid rule on N_QUAD nodes of the circle.
 
     Returns the normalized real vector P.1/||P.1|| and its Rayleigh quotient.
     The circle must enclose exactly the lowest eigenvalue, which `spec`
@@ -277,7 +278,7 @@ def contour_projector(spec: RadialSpectrum, center, radius, n_quad=N_QUAD):
     for lam in (spec.rho, lam2):
         if abs(abs(lam - center) - radius) < 1e-6 * radius:
             raise ContourError("eigenvalue too close to the integration circle")
-    p1 = apply_projector(op, center, radius, np.ones(op.m), n_quad)
+    p1 = apply_projector(op, center, radius, np.ones(op.m))
     norm = op.weighted_norm(p1)
     if norm == 0.0:
         raise ContourError("projector annihilated the constant vector")

@@ -201,8 +201,7 @@ def test_criterion_7_born_and_contour(oracle):
     direct = spectral.direct_resolvent_solve(op, z, w)
     diff = born - direct
     born_rel = np.sqrt(op.weighted_dot(diff, diff) / op.weighted_dot(direct, direct))
-    vec, rayleigh = spectral.contour_projector(spec_out, spec_out.rho,
-                                               spec_out.gap / 2.0, 64)
+    vec, rayleigh = spectral.contour_projector(spec_out, spec_out.rho, spec_out.gap / 2.0)
     vec_err = op.weighted_norm(vec - spec_out.phi)
     ray_err = abs(rayleigh - spec_out.rho)
     big = spectral.build_radial_operator(2, 30.0, 3000,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import minkowski_dot
-from hyptrap import cli, feynman_kac, spectral, stats
+from hyptrap import cli, feynman_kac, fock, spectral, stats
 from hyptrap.cli import ConfigError, main, parse_config, resolve_config
 from hyptrap.diffusion import polar_from_ambient
 from hyptrap.ppp import Configuration, sample_configuration
@@ -327,14 +327,14 @@ class TestCommands:
             "center,radius,n_quad,vec_error,rayleigh_error\n"
             f"{ground.rho!r},{radius!r},64,{float(vec_error)!r},{abs(rayleigh - ground.rho)!r}\n")
         checks = json.loads((out / "checks.json").read_text())
-        assert all(checks[gate] for gate in ORACLE_GATES)
+        assert all(checks[gate]["pass"] for gate in ORACLE_GATES)
 
     def test_q_marginal_gate_reads_the_exact_law(self, tmp_path):
         # doob_compare.csv holds the weighted KS test of q_marginal.csv's
         # marginal at T against its exact law, the Kish ESS and the law's sup
-        # distance from its Doob limit; the manifest keeps the p-value beside
-        # the threshold it must exceed (FAST's horizons stretched to 1.25-5, on
-        # which every gate passes)
+        # distance from its Doob limit; the gate's record keeps the p-value
+        # beside the threshold it must exceed (FAST's horizons stretched to
+        # 1.25-5, on which every gate passes)
         out = tmp_path / "out"
         path = write_config(tmp_path, FAST + "T = 5\nt_grid = 1.25,2.5,5\nmarginal_time = 1\n")
         assert main(["full-pipeline", "--config", path, "--out", str(out)]) == 0
@@ -348,10 +348,8 @@ class TestCommands:
         assert (out / "doob_compare.csv").read_text() == (
             "t,T,ks_statistic,p_value,ess,doob_distance\n"
             f"1.0,5.0,{d!r},{p!r},{ess!r},{float(np.max(np.abs(law - limit)))!r}\n")
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["results"]["q_ks_p_value"] == {"value": p, "bound": cli.KS_THRESHOLD}
-        assert json.loads((out / "checks.json").read_text())["q_matches_doob"] == (
-            p > cli.KS_THRESHOLD)
+        assert json.loads((out / "checks.json").read_text())["q_matches_doob"] == {
+            "value": p, "bound": cli.KS_THRESHOLD, "pass": p > cli.KS_THRESHOLD}
 
     @pytest.mark.parametrize("name,gate", [("born_resolvent_apply", "born_matches_direct"),
                                            ("contour_projector", "contour_matches_ground"),
@@ -378,7 +376,7 @@ class TestCommands:
         assert main(["full-pipeline", "--config", write_config(tmp_path, text),
                      "--out", str(out)]) == 1
         checks = json.loads((out / "checks.json").read_text())
-        assert {g: checks[g] for g in ORACLE_GATES} == {g: g != gate for g in ORACLE_GATES}
+        assert {g: checks[g]["pass"] for g in ORACLE_GATES} == {g: g != gate for g in ORACLE_GATES}
         assert (out / "born.csv").exists() and (out / "contour.csv").exists()
         assert not (out / "manifest.json").exists()
 
@@ -392,7 +390,7 @@ class TestCommands:
         born = (tmp_path / "exact" / "born.csv").read_text().splitlines()[1].split(",")
         assert float(born[3]) == 0.0 and born[4] == "0"
         checks = json.loads((tmp_path / "exact" / "checks.json").read_text())
-        assert checks["born_matches_direct"] and checks["amplified_born_sound"]
+        assert checks["born_matches_direct"]["pass"] and checks["amplified_born_sound"]["pass"]
         exact = spectral.born_resolvent_apply
 
         def perturbed(*args):
@@ -401,7 +399,8 @@ class TestCommands:
 
         monkeypatch.setattr(spectral, "born_resolvent_apply", perturbed)
         main(["full-pipeline", "--config", path, "--out", str(tmp_path / "off")])
-        assert not json.loads((tmp_path / "off" / "checks.json").read_text())["born_matches_direct"]
+        off = json.loads((tmp_path / "off" / "checks.json").read_text())
+        assert not off["born_matches_direct"]["pass"]
 
     def test_full_pipeline_solves_the_ground_pair_once(self, tmp_path, monkeypatch):
         calls = []
@@ -447,6 +446,57 @@ class TestCommands:
         void = json.loads((out / "fock.json").read_text())[1]
         assert void["functional"] == "void" and void["lhs"] == void["lhs_stderr"] == 0.0
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("cmd,text,failing", [
+        ("full-pipeline", FAST, ["rho_near_zero"]), ("fock-check", "", []),
+        ("fock-check", "fock_volumes = 30\n", ["void v=30"])])
+    def test_every_gate_is_one_record(self, tmp_path, capsys, cmd, text, failing):
+        # each record's pass is its value's comparison with its bound (or with
+        # its lo and hi), and the run exits 1 naming exactly the failed gates:
+        # FAST's 64 paths to T = 2 leave rho 0.033 from 0, and no draw lands
+        # on the void at v = 30
+        out, path = tmp_path / "out", write_config(tmp_path, text)
+        code = main([cmd, "--config", path, "--out", str(out)])
+        checks = json.loads((out / "checks.json").read_text())
+        if cmd == "full-pipeline":
+            assert sorted(checks) == sorted(ORACLE_GATES + (
+                "rho_near_zero", "rho_in_bound", "phi_matches_survival", "q_matches_doob",
+                "q_stabilized"))
+            # the statistical margins are read off the run's own tables
+            phi = np.loadtxt(out / "phi_ratio.csv", delimiter=",", skiprows=1)
+            margins = np.abs(phi[:, 1] - phi[:, 3]) / np.maximum(phi[:, 2], 1e-6)
+            assert checks["phi_matches_survival"]["value"] == margins.max()
+            assert checks["phi_matches_survival"]["probe"] == phi[margins.argmax(), 0]
+            rho = float((out / "rho.csv").read_text().splitlines()[1].split(",")[0])
+            assert checks["rho_in_bound"]["value"] == rho
+            assert checks["rho_near_zero"]["value"] == abs(rho)
+            last = (out / "q_stabilization.csv").read_text().splitlines()[-1].split(",")[1]
+            assert checks["q_stabilized"]["value"] == float(last)
+        else:
+            volumes = resolve_config(parse_config(path))["fock_volumes"]
+            assert sorted(checks) == sorted(f"{name} v={v:g}" for v in volumes
+                                            for name in fock.FUNCTIONALS)
+        for name, rec in checks.items():
+            value = rec["value"]
+            if name == "rho_in_bound":
+                assert set(rec) == {"value", "lo", "hi", "pass"}
+                want = rec["lo"] <= value <= rec["hi"]
+            elif name == "contour_matches_ground":
+                want = all(v <= b for v, b in zip(value, rec["bound"]))
+            elif name == "amplified_born_sound" and value is None:
+                # the series for 100 V diverged: nothing to bound
+                want = rec["bound"] is None and (out / "born.csv").read_text().endswith(",1\n")
+            elif name == "q_matches_doob":
+                want = value > rec["bound"]
+            elif name == "q_stabilized":
+                want = value < rec["bound"]
+            else:
+                want = value <= rec["bound"]
+            assert rec["pass"] is want, name
+        assert sorted(name for name, rec in checks.items() if not rec["pass"]) == failing
+        err = capsys.readouterr().err
+        named = ast.literal_eval(err.split("gates failed: ", 1)[1].strip()) if failing else []
+        assert code == (1 if failing else 0) and sorted(named) == failing
 
     @pytest.mark.parametrize("volumes", ["0.5,1000", "1e20", "0"])
     def test_fock_volume_too_large_to_sum_exits_2(self, tmp_path, capsys, volumes):

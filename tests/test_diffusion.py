@@ -323,9 +323,10 @@ class TestEnsembleWalk:
         assert all(np.array_equal(a, b) for a, b in zip(res.snapshots[0], (r0, u0, 0 * r0)))
 
     def test_held_steps_per_potential_call_are_bitwise(self, monkeypatch):
-        # one potential call per step (DRAW_BUFFER 1), for all 150 steps (the
-        # default holds 273), per 136 steps and per 4 steps, neither of which
-        # divides the 150 steps, give the same walk, integrals and snapshots
+        # one potential call per two steps (DRAW_BUFFER 1 holds the least
+        # depth, 2), for all 150 steps (the default holds 273), per 136 steps
+        # and per 4 steps, neither of which divides the 150 steps, give the
+        # same walk, integrals and snapshots
         # bit for bit: at step 0, at chunk edges (4, 136) and inside chunks
         # (50); three streams, two blocks, a sampled scene and a trap planted
         # at o
@@ -356,7 +357,7 @@ class TestEnsembleWalk:
         # the depth is DRAW_BUFFER // N held steps of the N = 60 paths
         assert DRAW_BUFFER // 60 == 273
         runs = [walks(1), walks(DRAW_BUFFER), walks(136 * 60), walks(4 * 60)]
-        assert [calls for calls, _ in runs] == [1 + n_steps, 1 + 1, 1 + 2, 1 + 38]
+        assert [calls for calls, _ in runs] == [1 + n_steps // 2, 1 + 1, 1 + 2, 1 + 38]
         _, want = runs[0]
         assert np.any(want.integrals > 0.0)
         for _, got in runs[1:]:
@@ -370,9 +371,10 @@ class TestEnsembleWalk:
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_depth_one_keeps_the_rows_it_reads(self, monkeypatch, blocks):
-        # at depth 1 (DRAW_BUFFER 1) the held row is the one each step reads;
-        # zero draws leave the paths at o at r = 0 with their own directions,
-        # which a step written over the row it reads would lose to 0 / 0
+        # at the least depth (DRAW_BUFFER 1 holds two rows) each step reads
+        # the row the step before wrote; zero draws leave the paths at o at
+        # r = 0 with their own directions, which a step written over the row
+        # it reads would lose to 0 / 0
         monkeypatch.setattr(diffusion, "DRAW_BUFFER", 1)
         r0, u0, seeds = kernel_inputs(3, blocks, 70)
         res = ensemble_walk(r0, u0, 4, 0.01, kernel_streams(seeds), snapshot_steps=[2],

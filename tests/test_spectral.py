@@ -206,8 +206,7 @@ class TestContourProjector:
         self.spec = solve_ground_state(self.op)
 
     def test_matches_eigensolver(self):
-        vec, rayleigh = contour_projector(
-            self.spec, self.spec.rho, self.spec.gap / 2.0, n_quad=64)
+        vec, rayleigh = contour_projector(self.spec, self.spec.rho, self.spec.gap / 2.0)
         diff = vec - self.spec.phi
         assert np.sqrt(self.op.weighted_dot(diff, diff)) < 1e-8
         assert abs(rayleigh - self.spec.rho) < 1e-10
