@@ -335,24 +335,23 @@ def cmd_q_marginal(cfg, out):
 
 
 def _write_oracle(cfg, out):
-    """eigenpair.csv, survival.csv and spectrum.csv; returns the operator, its
-    ground pair and the survival harmonic h on the grid."""
+    """eigenpair.csv, survival.csv and spectrum.csv; returns the ground pair."""
     op = spectral.build_radial_operator(cfg["d"], cfg["r_max"], cfg["m_cells"],
                                         trap_radial_potential(cfg))
     spec_out = spectral.solve_ground_state(op)
     write_csv(out / "eigenpair.csv",
               f"# rho={float(spec_out.rho)!r} gap={float(spec_out.gap)!r} "
               f"R_max={float(op.r_max)!r} M={op.m} d={op.d}\nr,phi",
-              list(zip(spec_out.grid.tolist(), spec_out.phi.tolist())))
+              list(zip(op.grid.tolist(), spec_out.phi.tolist())))
     h_surv = spectral.survival_harmonic(op)
     write_csv(out / "survival.csv", "r,h", list(zip(op.grid.tolist(), h_surv.tolist())))
     write_csv(out / "spectrum.csv", "rho,gap,r_max,m,d",
               [(spec_out.rho, spec_out.gap, cfg["r_max"], cfg["m_cells"], cfg["d"])])
-    return op, spec_out, h_surv
+    return spec_out
 
 
 def cmd_radial_oracle(cfg, out):
-    _, spec_out, _ = _write_oracle(cfg, out)
+    spec_out = _write_oracle(cfg, out)
     return {"rho": spec_out.rho, "gap": spec_out.gap}
 
 
@@ -406,61 +405,26 @@ def cmd_full_pipeline(cfg, out):
     if cfg["marginal_time"] <= 0:
         raise ConfigError("the Q-marginal at marginal_time 0 is the point mass at o, "
                           "which its law has no test for: marginal_time must be positive")
+    if not any(r > 0 for r in cfg["probes"]):
+        raise ConfigError("the ratio at o is 1 by definition, so phi_matches_survival "
+                          "needs a probe off o: probes must hold a radius > 0")
     spec, config, potential = build_scene(cfg)
-    op, ground, _ = _write_oracle(cfg, out)
+    ground = _write_oracle(cfg, out)
+    op = ground.operator
 
-    # the oracle's self-checks: each error is gated by its method's own error plus
-    # rounding (u the unit roundoff, ||H|| the Gershgorin bound ground.norm_bound);
-    # a backward stable tridiagonal solve at z is off by u ||H|| / dist(z, spectrum)
-    u = 2.0**-53
-    z = ground.rho + 0.15j  # the ground energy, 0.15 off the real axis
-    w = np.ones(op.m)
-
-    def born_error(op, norm_bound):
-        """The Born sum's error relative to the direct solve, and its bound: the
-        tail, plus u ||H|| / |Im z| for each of the N_BORN + 2 solves (the Born
-        orders and the direct one), as |Im z| <= dist(z, spectrum) for a self-adjoint H."""
-        born, tail = spectral.born_resolvent_apply(op, z, w)
-        direct = spectral.direct_resolvent_solve(op, z, w)
-        norm = op.weighted_norm(direct)
-        return (float(op.weighted_norm(born - direct) / norm), float(tail),
-                float(tail / norm) + (spectral.N_BORN + 2) * u * norm_bound / 0.15)
-
-    rel, tail, born_bound = born_error(op, ground.norm_bound)
-    # the series for 100 V either diverges or, where 100 V is still small enough,
-    # converges to the direct solve within the same bound; ||H + 99 V|| is at
-    # most ||H|| + 99 max V
-    amplified = spectral.build_radial_operator(cfg["d"], cfg["r_max"], cfg["m_cells"],
-                                               lambda r: 100.0 * trap_radial_potential(cfg)(r))
-    try:
-        amp_rel, _, amp_bound = born_error(
-            amplified, ground.norm_bound + 99.0 * float(np.max(op.potential)))
-    except spectral.BornDivergenceError:
-        amp_rel = amp_bound = None  # a diverged series has no error to bound
+    # the oracle's self-checks, each error beside its own bound
+    z, (rel, tail, born_bound), (amp_rel, amp_bound) = spectral.born_check(ground)
     diverged = int(amp_rel is None)
     write_csv(out / "born.csv", "z_re,z_im,rel_error,tail_bound,amplified_diverges",
-              [(float(np.real(z)), float(np.imag(z)), rel, float(tail), diverged)])
-    radius = ground.gap / 2.0
-    vec, rayleigh = spectral.contour_projector(ground, ground.rho, radius)
-    vec_error, rayleigh_error = float(op.weighted_norm(vec - ground.phi)), abs(rayleigh - ground.rho)
+              [(float(np.real(z)), float(np.imag(z)), rel, tail, diverged)])
+    radius, errors, bounds = spectral.contour_check(ground)
     write_csv(out / "contour.csv", "center,radius,n_quad,vec_error,rayleigh_error",
-              [(ground.rho, radius, spectral.N_QUAD, vec_error, rayleigh_error)])
-    # N trapezoid nodes weigh an eigenvalue a from the centre by 1/(1 - (a/radius)^N)
-    # inside the circle and by about (radius/a)^N outside (Trefethen and Weideman,
-    # SIAM Review 2014): exact for rho at the centre, 2^-N for rho + gap at 2 radius,
-    # less further out; every node is radius or more from the spectrum, and phi's
-    # inverse iteration is off by about u ||H|| / gap itself
-    vec_bound = 2.0**-spectral.N_QUAD + u * ground.norm_bound * (1 / radius + 1 / ground.gap)
-    # a unit vector e from phi has its Rayleigh quotient within ||H|| e^2 of rho,
-    # and the quotient's m-term sum, added pairwise, rounds by about log2(m) u ||H||
-    rayleigh_bound = ground.norm_bound * (vec_bound**2 + op.m.bit_length() * u)
+              [(ground.rho, radius, spectral.N_QUAD, *errors)])
     checks = {"born_matches_direct": gate(rel, rel <= born_bound, bound=born_bound),
               "amplified_born_sound": gate(amp_rel, diverged or amp_rel <= amp_bound,
                                            bound=amp_bound),
               "contour_matches_ground": gate(
-                  [vec_error, rayleigh_error],
-                  vec_error <= vec_bound and rayleigh_error <= rayleigh_bound,
-                  bound=[vec_bound, rayleigh_bound])}
+                  errors, all(e <= b for e, b in zip(errors, bounds)), bound=bounds)}
 
     # one walk from o and the probes serves the rate, the ratios and the
     # Q-marginal
@@ -481,8 +445,8 @@ def cmd_full_pipeline(cfg, out):
     rows = [(r, ratio, se, float(np.interp(r, op.grid, z_T) / z_T[0]))
             for r, ratio, se in feynman_kac.estimate_phi_ratio(base, probes)]
     write_csv(out / "phi_ratio.csv", "r,ratio,stderr,survival_ratio", rows)
-    worst, probe = max(((abs(ratio - target) / max(se, 1e-6), r)
-                        for r, ratio, se, target in rows), default=(0.0, None))
+    worst, probe = max((abs(ratio - target) / max(se, 1e-6), r)
+                       for r, ratio, se, target in rows)
     checks["phi_matches_survival"] = gate(
         worst, not any(abs(ratio - target) > RATIO_SIGMA * max(se, 1e-6)
                        for _, ratio, se, target in rows),

@@ -24,10 +24,6 @@ class BornDivergenceError(RuntimeError):
     """Born series terms stopped contracting; smallness condition violated."""
 
 
-class ContourError(ValueError):
-    """The integration circle does not cleanly separate the ground eigenvalue."""
-
-
 @dataclass(frozen=True)
 class RadialOperator:
     """Symmetric tridiagonal discretization of the radial Schroedinger operator."""
@@ -66,7 +62,6 @@ class RadialSpectrum:
     rho: float
     phi: np.ndarray
     gap: float
-    grid: np.ndarray
     operator: RadialOperator
     norm_bound: float     # Gershgorin bound on ||H||, where the bisection starts
 
@@ -174,7 +169,7 @@ def solve_ground_state(op: RadialOperator) -> RadialSpectrum:
     if np.any(phi <= 0):
         raise RuntimeError("ground state failed positivity")
     phi = phi / op.weighted_norm(phi)
-    return RadialSpectrum(rho, phi, gap, op.grid, op, norm_bound)
+    return RadialSpectrum(rho, phi, gap, op, norm_bound)
 
 
 def _factor(diag, off):
@@ -217,11 +212,6 @@ def _resolvent(op: RadialOperator, z):
     return lambda w: _solve(factors, (s * w).tolist()) / s
 
 
-def direct_resolvent_solve(op: RadialOperator, z, w_vec):
-    """(H - z)^{-1} w by a direct tridiagonal solve (the projector's workhorse)."""
-    return _resolvent(op, complex(z))(w_vec)
-
-
 def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=N_BORN):
     """Partial Born sum (H-z)^{-1} w = sum_k R_0 (-V R_0)^k w with tail report.
 
@@ -258,35 +248,34 @@ def born_resolvent_apply(op: RadialOperator, z, w_vec, k_max=N_BORN):
     return total, tail
 
 
-def contour_projector(spec: RadialSpectrum, center, radius):
-    """Riesz projector of spec's operator applied to the constant vector, by
-    the trapezoid rule on N_QUAD nodes of the circle.
+def _born_error(op: RadialOperator, z, norm_bound):
+    """The Born sum's error on the constant vector relative to the direct solve,
+    its tail, and the error's bound: the tail plus u ||H|| / |Im z| for each of
+    the N_BORN + 2 solves, as a backward stable solve at z is off by
+    u ||H|| / dist(z, spectrum) and |Im z| <= dist(z, spectrum) for H self-adjoint."""
+    u, w = 2.0**-53, np.ones(op.m)  # the unit roundoff
+    born, tail = born_resolvent_apply(op, z, w)
+    direct = _resolvent(op, z)(w)
+    norm = op.weighted_norm(direct)
+    return (float(op.weighted_norm(born - direct) / norm), float(tail),
+            float(tail / norm) + (N_BORN + 2) * u * norm_bound / z.imag)
 
-    Returns the normalized real vector P.1/||P.1|| and its Rayleigh quotient.
-    The circle must enclose exactly the lowest eigenvalue, which `spec`
-    locates.
-    """
+
+def born_check(spec: RadialSpectrum):
+    """The Born series' self-check at z = rho + 0.15i: z, `_born_error` on spec's
+    operator, and the (error, bound) of its twin with 100 V, whose series either
+    diverges, (None, None) as it has no error to bound, or converges within the
+    same form of bound, with ||H + 99 V|| at most ||H|| + 99 max V."""
     op = spec.operator
-    lam2 = spec.rho + spec.gap
-    inside1 = abs(spec.rho - center) < radius
-    inside2 = abs(lam2 - center) < radius
-    if not inside1 or inside2:
-        raise ContourError(
-            f"contour (center={center}, radius={radius}) does not separate "
-            f"rho={spec.rho:.6g} from the rest (next eigenvalue {lam2:.6g})"
-        )
-    for lam in (spec.rho, lam2):
-        if abs(abs(lam - center) - radius) < 1e-6 * radius:
-            raise ContourError("eigenvalue too close to the integration circle")
-    p1 = apply_projector(op, center, radius, np.ones(op.m))
-    norm = op.weighted_norm(p1)
-    if norm == 0.0:
-        raise ContourError("projector annihilated the constant vector")
-    v = p1 / norm
-    if op.weighted_dot(v, np.ones(op.m)) < 0:
-        v = -v
-    rayleigh = op.weighted_dot(v, op.apply(v))
-    return v, rayleigh
+    z = spec.rho + 0.15j
+    born = _born_error(op, z, spec.norm_bound)
+    amplified = build_radial_operator(op.d, op.r_max, op.m, lambda r: 100.0 * op.potential)
+    try:
+        amp_rel, _, amp_bound = _born_error(
+            amplified, z, spec.norm_bound + 99.0 * float(np.max(op.potential)))
+    except BornDivergenceError:
+        amp_rel = amp_bound = None
+    return z, born, (amp_rel, amp_bound)
 
 
 def contour_sum(op: RadialOperator, nodes, weights, vec):
@@ -296,19 +285,45 @@ def contour_sum(op: RadialOperator, nodes, weights, vec):
     its upper half only, each weight counting its conjugate node too."""
     acc = np.zeros(op.m)
     for z, w in zip(nodes, weights):
-        acc += np.real(w * direct_resolvent_solve(op, z, vec))
+        acc += np.real(w * _resolvent(op, z)(vec))
     return acc
 
 
-def apply_projector(op: RadialOperator, center, radius, vec, n_quad=N_QUAD):
-    """Riesz projector applied to the real `vec` by the trapezoid rule on the
-    circle, on its nodes 0..n_quad/2.
+def contour_projector(spec: RadialSpectrum):
+    """Riesz projector of spec's operator applied to the constant vector, by
+    the trapezoid rule on N_QUAD nodes (0..N_QUAD/2 of them summed) of the
+    circle about rho of radius gap/2: rho at its centre, rho + gap at twice
+    its radius.  P = (1/2pi i) contour integral of (z - H)^{-1}, which is minus
+    the mean of r e^{i theta} (H - z)^{-1} over the circle.
 
-    P = (1/2pi i) contour integral of (z - H)^{-1}, which is minus the mean
-    of r e^{i theta} (H - z)^{-1} over the circle."""
-    k = np.arange(n_quad // 2 + 1)
-    e = radius * np.exp(1j * (2.0 * np.pi * k / n_quad))
-    return contour_sum(op, center + e, -np.where(2 * k % n_quad, 2.0, 1.0) * e / n_quad, vec)
+    Returns the normalized real vector P.1/||P.1|| and its Rayleigh quotient;
+    P.1 is <phi, 1> phi, a positive multiple of phi.
+    """
+    op = spec.operator
+    k = np.arange(N_QUAD // 2 + 1)
+    e = (spec.gap / 2.0) * np.exp(1j * (2.0 * np.pi * k / N_QUAD))
+    p1 = contour_sum(op, spec.rho + e, -np.where(2 * k % N_QUAD, 2.0, 1.0) * e / N_QUAD,
+                     np.ones(op.m))
+    v = p1 / op.weighted_norm(p1)
+    return v, op.weighted_dot(v, op.apply(v))
+
+
+def contour_check(spec: RadialSpectrum):
+    """The contour projector's self-check against spec's ground pair: the
+    circle's radius, the (vector, Rayleigh) errors and their bounds.
+
+    N trapezoid nodes weigh an eigenvalue a from the centre by 1/(1 - (a/radius)^N)
+    inside the circle and by about (radius/a)^N outside (Trefethen and Weideman,
+    SIAM Review 2014): exact for rho, 2^-N for rho + gap; every node is radius or
+    more from the spectrum, and phi's inverse iteration is off by about u ||H|| / gap.
+    A unit vector e from phi has its Rayleigh quotient within ||H|| e^2 of rho, and
+    the quotient's m-term sum, added pairwise, rounds by about log2(m) u ||H||."""
+    op, u = spec.operator, 2.0**-53  # the unit roundoff
+    radius = spec.gap / 2.0
+    vec, rayleigh = contour_projector(spec)
+    vec_bound = 2.0**-N_QUAD + u * spec.norm_bound * (1 / radius + 1 / spec.gap)
+    return (radius, [float(op.weighted_norm(vec - spec.phi)), abs(rayleigh - spec.rho)],
+            [vec_bound, spec.norm_bound * (vec_bound**2 + op.m.bit_length() * u)])
 
 
 def apply_semigroup(op: RadialOperator, T, vec):

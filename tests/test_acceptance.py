@@ -198,10 +198,10 @@ def test_criterion_7_born_and_contour(oracle):
     z = spec_out.rho + 0.15j
     w = np.ones(op.m)
     born, _ = spectral.born_resolvent_apply(op, z, w, 60)
-    direct = spectral.direct_resolvent_solve(op, z, w)
+    direct = spectral._resolvent(op, z)(w)
     diff = born - direct
     born_rel = np.sqrt(op.weighted_dot(diff, diff) / op.weighted_dot(direct, direct))
-    vec, rayleigh = spectral.contour_projector(spec_out, spec_out.rho, spec_out.gap / 2.0)
+    vec, rayleigh = spectral.contour_projector(spec_out)
     vec_err = op.weighted_norm(vec - spec_out.phi)
     ray_err = abs(rayleigh - spec_out.rho)
     big = spectral.build_radial_operator(2, 30.0, 3000,

@@ -124,6 +124,16 @@ class TestParseConfig:
         assert "marginal_time must be positive" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("probes", ["", "0"])
+    def test_pipeline_needs_a_probe_off_o(self, tmp_path, capsys, probes):
+        # a probe at o reads the walk from o itself, ratio 1 against the target
+        # 1: with no probe off o, phi_matches_survival would test nothing
+        path = write_config(tmp_path, FAST + f"probes = {probes}\n")
+        out = tmp_path / "out"
+        assert main(["full-pipeline", "--config", path, "--out", str(out)]) == 2
+        assert "probes must hold a radius > 0" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_cli_overrides(self):
         cfg = resolve_config({}, cli_seed=42, cli_workers=3)
         assert cfg["seed"] == 42
@@ -236,7 +246,7 @@ class TestCommands:
                         "M": "500", "d": "2"}
         assert columns == "r,phi"
         grid, phi = np.loadtxt(rows, delimiter=",").T
-        assert np.array_equal(grid, s.grid)
+        assert np.array_equal(grid, s.operator.grid)
         assert np.array_equal(phi, s.phi)
 
     def test_estimate_rho_runs(self, tmp_path):
@@ -315,13 +325,13 @@ class TestCommands:
         ground = spectral.solve_ground_state(op)
         z, w = ground.rho + 0.15j, np.ones(op.m)
         born, tail = spectral.born_resolvent_apply(op, z, w)
-        direct = spectral.direct_resolvent_solve(op, z, w)
+        direct = spectral._resolvent(op, z)(w)
         rel = op.weighted_norm(born - direct) / op.weighted_norm(direct)
         assert (out / "born.csv").read_text() == (
             "z_re,z_im,rel_error,tail_bound,amplified_diverges\n"
             f"{ground.rho!r},0.15,{float(rel)!r},{float(tail)!r},1\n")
         radius = ground.gap / 2
-        vec, rayleigh = spectral.contour_projector(ground, ground.rho, radius)
+        vec, rayleigh = spectral.contour_projector(ground)
         vec_error = op.weighted_norm(vec - ground.phi)
         assert (out / "contour.csv").read_text() == (
             "center,radius,n_quad,vec_error,rayleigh_error\n"
