@@ -91,6 +91,9 @@ def resolve_config(overrides, cli_seed=None, cli_workers=None):
         raise ConfigError("n_paths must be >= 2")
     if cfg["workers"] < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg["window_radius"] < 0:
+        raise ConfigError(f"window_radius must be >= 0 (0 picks the window), got "
+                          f"{cfg['window_radius']:g}")
     if min(cfg["probes"], default=0.0) < 0:
         raise ConfigError(f"probes are radii and must be >= 0, got {cfg['probes']}")
     for key in ("T", "t_grid", "marginal_time"):

@@ -16,17 +16,17 @@ traps with r_y >= r + r_0; FactorPotential sorts its traps by radius once
 and each query sums a prefix of them whose length depends on that query
 alone.  V is therefore a pointwise function: a query's value is bitwise the
 same in any batch, which is what lets a walk evaluate many independent
-streams, starts and steps in one call.  A batch's tables are built in row
-blocks of at most `diffusion.DRAW_BUFFER` query-trap pairs, so their size
-does not grow with the batch, and a query beyond the reach of every trap of
-its prefix (r >= r_y + r_0 plus a rounding margin) is not evaluated: each of
-its terms is an exact zero.
+streams, starts and steps in one call.  Every batch takes one path: the
+queries of each bit length of the cut are gathered in row blocks of at most
+`diffusion.DRAW_BUFFER` query-trap pairs, so no table grows with the batch,
+and a query beyond the reach of every trap of its prefix (r >= r_y + r_0
+plus a rounding margin) is not evaluated: each of its terms is an exact zero.
 
-Volumes and the radial law rest on one integral, I_n(r) = int_0^r sinh^n,
-evaluated to rounding with numpy alone (Gauss-Legendre on unit panels).  The
-sampler inverts the radial CDF I_{d-1}(r) / I_{d-1}(R) exactly: a linear
-table gives each radius a start and one Halley step on the exact integral
-finishes it.
+Volumes rest on one integral, I_n(r) = int_0^r sinh^n, evaluated to rounding
+with numpy alone (Gauss-Legendre on unit panels).  The sampler draws the
+radii from their sinh^{d-1} density exactly, by rejection from the envelope
+e^{(d-1) r}, whose inverse CDF is closed-form (Devroye, Non-Uniform Random
+Variate Generation, 1986, II.3).
 """
 
 from __future__ import annotations
@@ -140,9 +140,12 @@ class Configuration:
         u = np.asarray(self.directions, dtype=float)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "directions", u)
-        if u.ndim != 2 or u.shape[0] != len(r) or u.shape[1] < 2 or np.any(r < 0):
-            raise ValueError("need a radius >= 0 and a direction of d >= 2 components "
-                             "per trap")
+        # polar_distances reads |u - u_y|^2 / 2 as 1 - cos(angle): unit
+        # directions only, and no NaN (the max propagates it)
+        if (u.ndim != 2 or u.shape[0] != len(r) or u.shape[1] < 2 or np.any(r < 0)
+                or not np.abs(np.linalg.norm(u, axis=1) - 1.0).max(initial=0.0) <= 1e-9):
+            raise ValueError("need a radius >= 0 and a unit direction of d >= 2 "
+                             "components per trap")
         if self.window_radius <= 0:
             raise ValueError("window_radius must be positive")
         check_intensity(self.intensity)
@@ -194,58 +197,30 @@ class PotentialSpec:
         return q
 
 
-#: knots of the sampler's start table per unit of radius: from starts this
-#: close, one Halley step lands every radius within rounding for d = 2..8
-_KNOTS_PER_UNIT = 256
-
-
-@functools.lru_cache(maxsize=32)
-def _radial_start_table(d, R):
-    """F(r)^(1/d) at knots r in [0, R] (read-only), the knots, and I_{d-1}(R).
-
-    F(r) = I_{d-1}(r) / I_{d-1}(R) vanishes like r^d at 0, so F^(1/d) is
-    close to linear in r there as well as away from it.
-    """
-    knots = np.linspace(0.0, R, math.ceil(_KNOTS_PER_UNIT * R) + 1)
-    vol = sinh_power_integral(d - 1, knots)
-    s = (vol / vol[-1]) ** (1.0 / d)
-    s.setflags(write=False)
-    knots.setflags(write=False)
-    return s, knots, float(vol[-1])
-
-
-def radial_quantile(d, R, q):
-    """The radii r in [0, R] with F(r) = q, F the radial CDF of the ball.
-
-    A linear interpolant in F^(1/d) starts each radius; one Halley step on
-    f(r) = I(r) - q I(R), with f' = sinh^{d-1} r and f''/f' = (d-1) coth r,
-    finishes it to rounding.  q = 0 gives r = 0.
-    """
-    n = d - 1
-    s, knots, vol = _radial_start_table(d, R)
-    r = np.interp(q ** (1.0 / d), s, knots)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at r = 0
-        newton = (sinh_power_integral(n, r) - q * vol) / np.sinh(r) ** n
-        r -= newton / (1.0 - 0.5 * n * newton / np.tanh(r))
-    r[q == 0] = 0.0
-    return r
-
-
 def sample_configuration(d, R, kappa, rng) -> Configuration:
     """Draw a PPP(kappa * vol) configuration in the ball of radius R about o.
 
-    Count is Poisson with mean kappa * ball_volume(d, R); radii follow the
-    sinh^{d-1} density through its exact inverse CDF (`radial_quantile`);
-    directions are uniform on the sphere in T_o H^d.
+    Count is Poisson with mean kappa * ball_volume(d, R).  The radii follow
+    the sinh^{d-1} density exactly, by rejection in rounds: each round draws
+    n proposals from the density proportional to e^{(d-1) r} on [0, R] (by
+    its inverse CDF) and keeps each with probability (1 - e^{-2r})^{d-1},
+    which is sinh^{d-1} r over that envelope up to a constant; the first n
+    kept are the radii.  Directions are uniform on the sphere in T_o H^d.
     """
     mean = kappa * ball_volume(d, R)
     n = int(rng.poisson(mean)) if mean > 0 else 0
     if n == 0:
         return Configuration(np.empty(0), np.empty((0, d)), R, kappa)
-    radii = radial_quantile(d, R, rng.uniform(size=n))
+    m = d - 1
+    # inf past (d - 1) R = 709.78; an infinite proposal fails the window check
+    top = np.expm1(m * R)
+    radii = np.empty(0)
+    while len(radii) < n:
+        r = np.log1p(rng.uniform(size=n) * top) / m
+        radii = np.concatenate([radii, r[rng.uniform(size=n) < (-np.expm1(-2.0 * r)) ** m]])
     dirs = rng.standard_normal((n, d))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return Configuration(radii, dirs, R, kappa)
+    return Configuration(radii[:n], dirs, R, kappa)
 
 
 def polar_distances(r, u, ry, uy):
@@ -336,59 +311,36 @@ class FactorPotential(PotentialField):
                 f"window_radius >= {need:.3f}, have {self.config.window_radius:.3f}"
             )
 
-    def _near_sum(self, r, u, r_max):
+    def _near_sum(self, r, u):
         """Profile sums per query over the prefix of traps its own cut sets
-        (all others add 0); r_max bounds the radii from above."""
-        u = np.asarray(u, dtype=float)
-        sums = np.zeros(len(r))
-        if not len(r):
-            return sums
-
-        def cut_bits(x):
-            """Bit length of the cut at each radius: the cut is >= 2^j exactly
-            when trap 2^j - 1 (from 0) lies below x + r_0."""
-            return np.searchsorted(self._edges, x + self.spec.support_radius)
-
+        (all others add 0)."""
         # the directions as (d, n) rows, which gather by index several times
         # faster than the rows of an (n, d) array that is column-major (the
         # walk's), a view of them for the walk and one copy for others
-        cols = np.ascontiguousarray(u.T)
-        lo, hi = cut_bits(np.array([r.min(), r_max]))
-        if lo == hi:  # cuts grow with r, so every query has this bit length
-            groups = [(lo, slice(None))]
-        else:
-            bits = cut_bits(r)
-            groups = [(b, np.flatnonzero(bits == b))
-                      for b in np.flatnonzero(np.bincount(bits)).tolist()]
-        for b, rows in groups:
-            if not b:
-                continue  # a cut of 0 keeps no trap: those sums stay 0
+        cols = np.ascontiguousarray(np.asarray(u, dtype=float).T)
+        sums = np.zeros(len(r))
+        # bit length of the cut at each query: the cut is >= 2^j exactly when
+        # trap 2^j - 1 (from 0) lies below r + r_0.  Counted by comparison
+        # with each of these few edges, several times faster than a binary
+        # search (searchsorted) per query
+        bits = (self._edges[:, None] < r + self.spec.support_radius).sum(axis=0)
+        for b in range(1, bits.max(initial=0) + 1):  # a cut of 0 keeps no trap: its sum stays 0
             k = min(1 << b, len(self._ry))
-            reach = self._ry[k - 1] + self._reach
-            if r_max >= reach:  # drop the queries out of reach of the whole prefix
-                near = r[rows] < reach
-                rows = np.flatnonzero(near) if isinstance(rows, slice) else rows[near]
-                # repeated to a power of two, the kept rows give tables of few
-                # sizes, whose memory the allocator reuses from call to call
-                # instead of fragmenting its heap; each repeat is a query of
-                # this group, written again with its own value
-                if len(rows):
-                    rows = np.resize(rows, 1 << (len(rows) - 1).bit_length())
-            n_rows = len(r) if isinstance(rows, slice) else len(rows)
+            # the queries of this bit length within reach of their prefix's
+            # farthest trap; the others add only zeros
+            rows = np.flatnonzero((bits == b) & (r < self._ry[k - 1] + self._reach))
             block = max(1, diffusion.DRAW_BUFFER // k)
-            for a in range(0, n_rows, block):
-                part = slice(a, a + block) if isinstance(rows, slice) else rows[a:a + block]
-                cols_part = cols[:, part] if isinstance(part, slice) else cols.take(part, axis=1)
+            for a in range(0, len(rows), block):
+                part = rows[a:a + block]
                 # sum along each row: summed over the trap axis of a (k, n)
                 # table instead, a lone query's (k, 1) column is contiguous and
                 # numpy sums it pairwise, so its bits would differ from a batch's
                 sums[part] = self.spec.profile(polar_distances(
-                    r[part], cols_part.T, self._ry[:k], self._uy[:k])).sum(axis=1)
+                    r[part], cols.take(part, axis=1).T, self._ry[:k], self._uy[:k])).sum(axis=1)
         return sums
 
     def evaluate_polar(self, r, u):
         r = np.asarray(r, dtype=float)
-        r_max = float(np.max(r, initial=0.0))
-        self.check_window(r_max)
-        sums = self._near_sum(r, u, r_max)
+        self.check_window(float(np.max(r, initial=0.0)))
+        sums = self._near_sum(r, u)
         return np.minimum(sums, self.spec.v_max, out=sums)

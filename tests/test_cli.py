@@ -88,7 +88,8 @@ class TestParseConfig:
                                       "t_grid = 0.5,1.005,2", "marginal_time = 0.255",
                                       "kappa = -0.05", "a = -1", "r0 = 0", "vmax = -0.1",
                                       "r_max = 4", "m_cells = 49", "t_grid = -1,1,2",
-                                      "marginal_time = -1", "T = -1", "probes = 0,-0.5"])
+                                      "marginal_time = -1", "T = -1", "probes = 0,-0.5",
+                                      "window_radius = -1"])
     def test_resolve_rejects_before_simulating(self, tmp_path, capsys, line):
         path = write_config(tmp_path, FAST + line + "\n")
         out = tmp_path / "out"

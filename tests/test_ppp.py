@@ -20,9 +20,7 @@ from hyptrap.ppp import (
     WindowError,
     ball_volume,
     polar_distances,
-    radial_quantile,
     sample_configuration,
-    sinh_power_integral,
     sphere_area,
     theorem_regime_bound,
 )
@@ -76,32 +74,11 @@ class TestBallVolume:
 
     def test_rule_is_leggauss_on_the_unit_interval(self):
         # the literal rule is numpy's 16-point Gauss-Legendre rule mapped to
-        # [0, 1], bit for bit: any other rounding moves ball_volume and
-        # radial_quantile, and with them every sampled scene
+        # [0, 1], bit for bit: any other rounding moves ball_volume, and with
+        # it every sampled scene's count
         x, w = np.polynomial.legendre.leggauss(16)
         assert np.array_equal(ppp._GL_NODES, 0.5 * (x + 1.0))
         assert np.array_equal(ppp._GL_WEIGHTS, 0.5 * w)
-
-
-class TestRadialQuantile:
-    # q from 0 and the smallest nonzero uniform draw (2^-53) up to the largest
-    Q = np.concatenate([[0.0, 2.0**-53, 1e-12, 1e-6], np.linspace(0.001, 0.999, 999),
-                        [1.0 - 2.0**-53]])
-
-    def test_round_trip(self):
-        # F(r(q)) = q to rounding, F(r) = I_{d-1}(r) / I_{d-1}(R)
-        for d in range(2, 6):
-            for R in (0.05, 1.0, 3.0, 9.0, 20.0):
-                r = radial_quantile(d, R, self.Q)
-                assert r[0] == 0.0 and np.all(np.diff(r) > 0) and r[-1] <= R
-                F = sinh_power_integral(d - 1, r) / sinh_power_integral(d - 1, R)
-                assert np.max(np.abs(F - self.Q)) <= 1e-13, (d, R)
-
-    def test_d2_closed_form(self):
-        # in H^2, F(r) = sinh^2(r/2) / sinh^2(R/2)
-        for R in (0.05, 1.0, 3.0, 9.0, 20.0):
-            want = 2.0 * np.arcsinh(np.sqrt(self.Q) * np.sinh(R / 2.0))
-            assert np.max(np.abs(radial_quantile(2, R, self.Q) - want)) <= 1e-14, R
 
 
 class TestSampleConfiguration:
@@ -159,16 +136,16 @@ class TestSampleConfiguration:
 
     def test_radial_law(self):
         # sampled radii follow the sinh^{d-1} density: compare the empirical
-        # CDF at a few quantiles against the normalized volume fraction
-        R = 3.0
-        for d, seed in ((2, 5), (3, 15)):
+        # CDF at a third and two thirds of R against the normalized volume
+        # fraction; at d = 5, R = 1 the rejection keeps 38 % of proposals
+        for d, R, kappa, seed in ((2, 3.0, 0.5, 5), (3, 3.0, 0.5, 15), (5, 1.0, 0.25, 25)):
             rng = np.random.default_rng(seed)
             radii = []
             for _ in range(2000):
-                config = sample_configuration(d, R, 0.5, rng)
+                config = sample_configuration(d, R, kappa, rng)
                 radii.extend(config.radii)
             radii = np.asarray(radii)
-            for q in (1.0, 2.0):
+            for q in (R / 3.0, 2.0 * R / 3.0):
                 frac = ball_volume(d, q) / ball_volume(d, R)
                 emp = np.mean(radii <= q)
                 se = np.sqrt(frac * (1 - frac) / len(radii))
@@ -183,13 +160,19 @@ class TestConfiguration:
                               ambient_from_polar(config.radii, config.directions))
 
     def test_sampled_radii_are_the_quantiles(self):
-        # the radii are radial_quantile's draws bitwise, not read back from
-        # hyperboloid rows
+        # the radii are the first n proposals the rejection rounds keep,
+        # bitwise, not read back from hyperboloid rows: rounds of n envelope
+        # quantiles log1p(U expm1(2R)) / 2, each kept when a second uniform
+        # falls below (1 - e^{-2r})^2
         rng = np.random.default_rng(17)
-        config = sample_configuration(2, 4.0, 0.5, np.random.default_rng(17))
-        n = rng.poisson(0.5 * ball_volume(2, 4.0))
-        assert len(config) == n
-        assert np.array_equal(config.radii, radial_quantile(2, 4.0, rng.uniform(size=n)))
+        config = sample_configuration(3, 3.0, 0.5, np.random.default_rng(17))
+        n = rng.poisson(0.5 * ball_volume(3, 3.0))
+        kept = []
+        while sum(map(len, kept)) < n:
+            r = np.log1p(rng.uniform(size=n) * np.expm1(6.0)) / 2
+            kept.append(r[rng.uniform(size=n) < (-np.expm1(-2.0 * r)) ** 2])
+        assert len(config) == n and len(kept) > 1
+        assert np.array_equal(config.radii, np.concatenate(kept)[:n])
 
     def test_point_outside_window_rejected(self):
         with pytest.raises(WindowError):
@@ -197,7 +180,8 @@ class TestConfiguration:
 
     @pytest.mark.parametrize("radii, directions", [
         ([-0.5], [[1.0, 0.0]]), ([0.5], [1.0, 0.0]),
-        ([0.5, 1.0], [[1.0, 0.0]]), ([0.5], [[1.0]])])
+        ([0.5, 1.0], [[1.0, 0.0]]), ([0.5], [[1.0]]), ([0.5], [[1.0, 1e-4]]),
+        ([0.5], [[np.nan, 0.0]])])
     def test_malformed_traps_rejected(self, radii, directions):
         with pytest.raises(ValueError, match="radius >= 0"):
             Configuration(radii, directions, 2.0, 1.0)
