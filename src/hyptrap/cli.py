@@ -83,6 +83,9 @@ def resolve_config(overrides, cli_seed=None, cli_workers=None):
         cfg["seed"] = cli_seed
     if cli_workers is not None:
         cfg["workers"] = cli_workers
+    for key, value in cfg.items():
+        if np.isnan(value).any():
+            raise ConfigError(f"{key} holds NaN: every value must be a number")
     if cfg["h"] <= 0 or cfg["h"] > diffusion.MAX_STEP:
         raise ConfigError(f"h must lie in (0, {diffusion.MAX_STEP}]")
     if cfg["d"] < 2:
@@ -94,13 +97,13 @@ def resolve_config(overrides, cli_seed=None, cli_workers=None):
     if cfg["window_radius"] < 0:
         raise ConfigError(f"window_radius must be >= 0 (0 picks the window), got "
                           f"{cfg['window_radius']:g}")
-    if min(cfg["probes"], default=0.0) < 0:
-        raise ConfigError(f"probes are radii and must be >= 0, got {cfg['probes']}")
+    if not all(0 <= r < np.inf for r in cfg["probes"]):
+        raise ConfigError(f"probes are radii and must be finite and >= 0, got {cfg['probes']}")
     for key in ("T", "t_grid", "marginal_time"):
         for t in cfg[key] if isinstance(DEFAULTS[key], list) else [cfg[key]]:
             if not diffusion.on_step_grid(t, cfg["h"]):
-                raise ConfigError(f"{key} value {t:g} is not a whole number (>= 0) of "
-                                  f"steps of h = {cfg['h']:g}")
+                raise ConfigError(f"{key} value {t:g} is not a finite whole number (>= 0) "
+                                  f"of steps of h = {cfg['h']:g}")
     # the scene's and the oracle's own bounds
     for keys, check in ((("a", "r0", "vmax"), PotentialSpec),
                         (("kappa",), check_intensity),

@@ -72,9 +72,9 @@ def _check_step(h):
 
 
 def on_step_grid(t, h):
-    """Whether time t is a whole number (>= 0) of steps of size h (to 1e-9
-    relative)."""
-    return t >= 0 and abs(round(t / h) * h - t) <= 1e-9 * max(1.0, t)
+    """Whether time t is a finite whole number (>= 0) of steps of size h (to
+    1e-9 relative)."""
+    return 0 <= t < np.inf and abs(round(t / h) * h - t) <= 1e-9 * max(1.0, t)
 
 
 def _draws(rng, n):

@@ -148,18 +148,16 @@ def simulate_tilted_ensemble(starts, potential: PotentialField, T, h, N, seed,
             for b in range(blocks)]
 
 
-def _drop_one_log_z(log_ws, slices):
-    """log Z over the paths of all streams but one (row c drops stream c) for
-    each array in `log_ws` (columns): the kept streams' means pooled by size."""
+def _stream_stderr(stat, log_ws, slices):
+    """Drop-one-stream jackknife standard error of stat(log Z) (Efron and
+    Stein, Ann. Statist. 1981), where log Z holds one entry per array of
+    `log_ws`: the log-mean-exp over the paths of every stream but the dropped
+    one, the kept streams' means pooled by size."""
     per_stream = np.array([[log_mean_exp(lw[s]) for lw in log_ws] for s in slices])
     sizes = np.array([s.stop - s.start for s in slices])
     streams = np.arange(len(sizes))
-    return np.array([log_mean_exp(per_stream[streams != c], weights=sizes[streams != c])
+    jack = np.array([stat(log_mean_exp(per_stream[streams != c], weights=sizes[streams != c]))
                      for c in streams])
-
-
-def _jackknife_stderr(jack):
-    """Jackknife standard error from the drop-one-stream values of a statistic."""
     n = len(jack)
     return float(np.sqrt((n - 1) / n * np.sum((jack - np.mean(jack)) ** 2)))
 
@@ -219,9 +217,8 @@ def estimate_rho(ensemble: PathEnsemble, T_grid) -> GroundStateEstimate:
     # relative stderr of each Z_T: the stderr of the weights over their mean
     sigmas = np.array([_mean_stderr(np.exp(lw - lz))[1] for lw, lz in zip(log_w, log_z)])
     rho_hat = _wls_slope(ts, -log_z, sigmas)
-    rho_se = _jackknife_stderr(np.array([
-        _wls_slope(ts, -log_z_kept, sigmas)
-        for log_z_kept in _drop_one_log_z(log_w, ensemble.chunk_slices)]))
+    rho_se = _stream_stderr(lambda lz: _wls_slope(ts, -lz, sigmas), log_w,
+                            ensemble.chunk_slices)
     # nested tail windows: slope over T_grid[k:] for each admissible k
     window_slopes = [
         _wls_slope(ts[k:], -log_z[k:], sigmas[k:]) for k in range(len(ts) - 1)
@@ -248,13 +245,12 @@ def estimate_phi_ratio(base: PathEnsemble, probes):
     from o, ratio, paired jackknife stderr).
     """
     log_z0 = log_mean_exp(base.log_weights)
-    # paired jackknife over the common streams: column 0 is o, column j probe j
-    kept = _drop_one_log_z([base.log_weights] + [ens.log_weights for _, ens in probes],
-                           base.chunk_slices)
     table = []
-    for j, (r, ens) in enumerate(probes, 1):
+    for r, ens in probes:
         ratio = np.exp(log_mean_exp(ens.log_weights) - log_z0)
-        se = _jackknife_stderr(np.exp(kept[:, j] - kept[:, 0]))
+        # paired over the common streams: two arrays, o's and the probe's
+        se = _stream_stderr(lambda lz: np.exp(lz[1] - lz[0]),
+                            [base.log_weights, ens.log_weights], base.chunk_slices)
         table.append((float(r), float(ratio), se))
     return table
 

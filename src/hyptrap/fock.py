@@ -28,7 +28,9 @@ MAX_VOLUME = 30.0
 
 
 def check_volumes(volumes):
-    """The ball volumes whose Fock series sums in double precision."""
+    """The ball volumes whose Fock series sums in double precision, at least one."""
+    if len(volumes) == 0:
+        raise ValueError("need at least one ball volume to check")
     if not all(0.0 < v <= MAX_VOLUME for v in volumes):
         raise ValueError(f"a ball volume must lie in (0, {MAX_VOLUME:g}] to sum its Fock series")
 

@@ -121,7 +121,7 @@ def sinh_power_integral(n, r):
 
 def check_intensity(kappa):
     """The PPP intensity bound, which every `Configuration` obeys."""
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError("intensity must be nonnegative")
 
 
@@ -141,12 +141,13 @@ class Configuration:
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "directions", u)
         # polar_distances reads |u - u_y|^2 / 2 as 1 - cos(angle): unit
-        # directions only, and no NaN (the max propagates it)
-        if (u.ndim != 2 or u.shape[0] != len(r) or u.shape[1] < 2 or np.any(r < 0)
+        # directions only, and no NaN: the max propagates a NaN direction, and
+        # a NaN radius fails r >= 0
+        if (u.ndim != 2 or u.shape[0] != len(r) or u.shape[1] < 2 or not np.all(r >= 0)
                 or not np.abs(np.linalg.norm(u, axis=1) - 1.0).max(initial=0.0) <= 1e-9):
             raise ValueError("need a radius >= 0 and a unit direction of d >= 2 "
                              "components per trap")
-        if self.window_radius <= 0:
+        if not self.window_radius > 0:
             raise ValueError("window_radius must be positive")
         check_intensity(self.intensity)
         if np.any(r > self.window_radius + 1e-9):
@@ -179,9 +180,10 @@ class PotentialSpec:
     v_max: float
 
     def __post_init__(self):
-        if self.amplitude < 0 or self.support_radius <= 0:
-            raise ValueError("profile must be nonnegative with positive support")
-        if self.v_max < 0:
+        # an infinite amplitude times the zero past r_0 would give NaN
+        if not (0 <= self.amplitude < np.inf and self.support_radius > 0):
+            raise ValueError("profile must be finite and nonnegative with positive support")
+        if not self.v_max >= 0:
             raise ValueError("v_max must be nonnegative")
 
     def profile(self, r):

@@ -70,8 +70,8 @@ def check_grid(r_max, m):
     """The grid bounds of `build_radial_operator`."""
     if m < 50:
         raise ValueError("need at least 50 cells")
-    if r_max < 5:
-        raise ValueError("need r_max >= 5")
+    if not 5 <= r_max < np.inf:
+        raise ValueError("need a finite r_max >= 5")
 
 
 def build_radial_operator(d, r_max, m, potential) -> RadialOperator:

@@ -89,7 +89,11 @@ class TestParseConfig:
                                       "kappa = -0.05", "a = -1", "r0 = 0", "vmax = -0.1",
                                       "r_max = 4", "m_cells = 49", "t_grid = -1,1,2",
                                       "marginal_time = -1", "T = -1", "probes = 0,-0.5",
-                                      "window_radius = -1"])
+                                      "window_radius = -1", "vmax = nan", "a = nan",
+                                      "r0 = nan", "kappa = nan", "planted = nan",
+                                      "window_radius = nan", "probes = 0,nan", "T = inf",
+                                      "t_grid = 1,2,inf", "probes = 0,inf", "a = inf",
+                                      "r_max = nan", "r_max = inf"])
     def test_resolve_rejects_before_simulating(self, tmp_path, capsys, line):
         path = write_config(tmp_path, FAST + line + "\n")
         out = tmp_path / "out"
@@ -509,13 +513,14 @@ class TestCommands:
         named = ast.literal_eval(err.split("gates failed: ", 1)[1].strip()) if failing else []
         assert code == (1 if failing else 0) and sorted(named) == failing
 
-    @pytest.mark.parametrize("volumes", ["0.5,1000", "1e20", "0"])
+    @pytest.mark.parametrize("volumes", ["0.5,1000", "1e20", "0", ""])
     def test_fock_volume_too_large_to_sum_exits_2(self, tmp_path, capsys, volumes):
         path = write_config(tmp_path, f"fock_volumes = {volumes}\n")
         out = tmp_path / "out"
         assert main(["fock-check", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "fock_volumes = " in err and "a ball volume must lie in" in err
+        refusal = "a ball volume must lie in" if volumes else "need at least one ball volume"
+        assert "fock_volumes = " in err and refusal in err
         assert not out.exists()
 
     def test_pipeline_refuses_poisson_scene_before_sampling(self, tmp_path, capsys,

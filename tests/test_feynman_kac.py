@@ -132,6 +132,25 @@ class TestEstimateRho:
                                        np.asarray(diag["sigmas"]))
         assert refit == est.rho_hat
 
+    def test_jackknife_pools_unequal_streams_by_size(self):
+        # 100 paths in 16 streams: four of 7 paths and twelve of 6; dropping a
+        # stream refits the slope to log Z over the kept paths, on the same sigmas
+        T_grid = [1.0, 2.0, 4.0]
+        ens = walk_o(planted_trap(), T_grid, 100, 4)
+        assert sorted({s.stop - s.start for s in ens.chunk_slices}) == [6, 7]
+        est = estimate_rho(ens, T_grid)
+        ts, sigmas = np.array(T_grid), np.asarray(est.diagnostics["sigmas"])
+        jack = []
+        for s in ens.chunk_slices:
+            kept = np.ones(len(ens.log_weights), dtype=bool)
+            kept[s] = False
+            log_z = np.log([np.mean(np.exp(-ens.snapshot(t)[2][kept])) for t in T_grid])
+            jack.append(feynman_kac._wls_slope(ts, -log_z, sigmas))
+        jack = np.array(jack)
+        n = len(jack)
+        assert est.rho_stderr == pytest.approx(
+            np.sqrt((n - 1) / n * np.sum((jack - jack.mean()) ** 2)), rel=1e-12)
+
 
 def walk_probes(probes, potential, T, h, N, seed):
     """The ensemble from o and the (radius, ensemble) pair of each probe

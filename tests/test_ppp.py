@@ -89,8 +89,9 @@ class TestSampleConfiguration:
 
     def test_negative_intensity_rejected(self):
         # check_intensity, the one bound on kappa, guards every configuration
-        with pytest.raises(ValueError, match="intensity"):
-            sample_configuration(2, 3.0, -0.5, np.random.default_rng(0))
+        for kappa in (-0.5, np.nan):
+            with pytest.raises(ValueError, match="intensity"):
+                sample_configuration(2, 3.0, kappa, np.random.default_rng(0))
 
     def test_mean_count(self):
         rng = np.random.default_rng(1)
@@ -181,10 +182,15 @@ class TestConfiguration:
     @pytest.mark.parametrize("radii, directions", [
         ([-0.5], [[1.0, 0.0]]), ([0.5], [1.0, 0.0]),
         ([0.5, 1.0], [[1.0, 0.0]]), ([0.5], [[1.0]]), ([0.5], [[1.0, 1e-4]]),
-        ([0.5], [[np.nan, 0.0]])])
+        ([0.5], [[np.nan, 0.0]]), ([np.nan], [[1.0, 0.0]])])
     def test_malformed_traps_rejected(self, radii, directions):
         with pytest.raises(ValueError, match="radius >= 0"):
             Configuration(radii, directions, 2.0, 1.0)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, np.nan])
+    def test_window_must_be_positive(self, window):
+        with pytest.raises(ValueError, match="window_radius"):
+            Configuration([0.5], [[1.0, 0.0]], window, 1.0)
 
 
 class TestPotentialSpec:
@@ -201,10 +207,11 @@ class TestPotentialSpec:
         assert theorem_regime_bound(3) == 0.5
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            PotentialSpec(-1.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            PotentialSpec(1.0, 0.0, 0.1)
+        # NaN fails every bound; an infinite amplitude would give inf * 0 past r_0
+        for fields in ((-1.0, 1.0, 0.1), (1.0, 0.0, 0.1), (1.0, 1.0, -0.1), (np.nan, 1.0, 0.1),
+                       (1.0, np.nan, 0.1), (1.0, 1.0, np.nan), (np.inf, 1.0, 0.1)):
+            with pytest.raises(ValueError):
+                PotentialSpec(*fields)
 
 
 class TestFactorPotential:

@@ -57,8 +57,9 @@ class TestBuildRadialOperator:
     def test_parameter_floors(self):
         with pytest.raises(ValueError):
             build_radial_operator(2, 30.0, 10, zero_potential)
-        with pytest.raises(ValueError):
-            build_radial_operator(2, 2.0, 100, zero_potential)
+        for r_max in (2.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                build_radial_operator(2, r_max, 100, zero_potential)
 
     def test_nan_potential_rejected(self):
         with pytest.raises(ValueError):
